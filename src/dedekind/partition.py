@@ -24,10 +24,9 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -241,11 +240,13 @@ class _EngineRun:
 
     __slots__ = ("cache", "use_cache", "max_nodes", "deadline", "nodes", "literal")
 
-    def __init__(self, cache: MemoCache, use_cache: bool, max_nodes, deadline):
+    def __init__(self, cache: MemoCache | None, use_cache: bool, max_nodes, budget_seconds):
         self.cache = cache
         self.use_cache = use_cache
         self.max_nodes = max_nodes
-        self.deadline = deadline
+        self.deadline = (
+            time.monotonic() + budget_seconds if budget_seconds is not None else None
+        )
         self.nodes = 0
         self.literal: dict = {}
 
@@ -307,6 +308,15 @@ def _connected_components(adj: list[int]) -> list[int]:
     return comps
 
 
+def _varying_coordinates(masks: Iterable[int]) -> int:
+    """Bitset of the coordinates that are not constant across masks."""
+    m_and, m_or = -1, 0
+    for m in masks:
+        m_and &= m
+        m_or |= m
+    return m_or & ~m_and
+
+
 def _extract_bits(mask: int, selector: int) -> int:
     """Compress the selector bits of mask into a contiguous low-bit word."""
     out = 0
@@ -347,11 +357,7 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
 
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
-    m_and = m_or = masks[0]
-    for m in masks[1:]:
-        m_and &= m
-        m_or |= m
-    varying = m_or & ~m_and
+    varying = _varying_coordinates(masks)
     vdim = varying.bit_count()
     if vdim < dim:
         # constant positions are identical in every mask, so order is kept
@@ -402,41 +408,23 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
     return result
 
 
-def _position_tables(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Closed up-/down-sets among the masks themselves, as position bitsets."""
-    k = len(masks)
-    up = [1 << i for i in range(k)]
-    down = [1 << i for i in range(k)]
-    for i in range(k):
-        mi = masks[i]
-        for j in range(i + 1, k):
-            if mi & ~masks[j] == 0:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
-
-
-def _count_with_pivot_set(S: Subposet, A: Subposet, run: _EngineRun) -> int:
-    """Stream the partition sum for an explicit pivot subset A."""
-    dim = S.dim
-    k = len(A.masks)
-    if k == 0:
-        return _count_masks(list(S.masks), dim, run)
-    up_t, down_t = _updown_tables(dim)
-    a_masks = A.masks
-    up_pos, down_pos = _position_tables(a_masks)
-    s_bits = S.bitset
-    total = 0
-    stack = [((1 << k) - 1, 0)]
+def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
+    """Walk the monotone maps on A depth first, 0-branch first.  For each map
+    f yield the point-space bitsets (ones, covered): ones is the region f
+    forces to 1, so f(a) = 1 iff bit a of ones is set, and covered is the
+    whole region f forces.  Every decision spends one engine node, so the
+    run's budgets bound the walk; an empty A yields (0, 0) once."""
+    up_t, down_t = _updown_tables(A.dim)
+    stack = [(A.bitset, 0, 0)]
     while stack:
-        undecided, covered = stack.pop()
+        undecided, ones, covered = stack.pop()
         while undecided:
-            i = (undecided & -undecided).bit_length() - 1
-            stack.append((undecided & ~up_pos[i], covered | up_t[a_masks[i]]))
-            undecided &= ~down_pos[i]
-            covered |= down_t[a_masks[i]]
-        total += _count_masks(_mask_list(s_bits & ~covered), dim, run)
-    return total
+            run.tick()
+            a = (undecided & -undecided).bit_length() - 1
+            stack.append((undecided & ~up_t[a], ones | up_t[a], covered | up_t[a]))
+            undecided &= ~down_t[a]
+            covered |= down_t[a]
+        yield ones, covered
 
 
 def _validate_subset(A: Subposet, S: Subposet) -> None:
@@ -463,43 +451,36 @@ def count_via_partition(
     "layer" pivots on the even-weight layer subset of a full cube, making
     every residual an antichain; a Subposet pivots on that explicit subset
     once, then continues with the default.  All strategies are exact and
-    agree; they differ only in work.  With threads > 1 the default strategy
-    evaluates its two top branches concurrently against a shared cache
-    (other strategies run sequentially); results are identical for every
-    thread count.  Budgets, when given, bound engine nodes and wall time and
-    raise BudgetExceededError.
+    agree; they differ only in work.  Counting runs on the calling thread:
+    threads is validated (it must be positive) and otherwise changes
+    neither the work nor the result.  Budgets, when given, bound engine
+    nodes and wall time and raise BudgetExceededError; engine nodes are the
+    recursion steps of the engine and the decisions of a pivot-set walk.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    run = _EngineRun(cache if cache is not None else MemoCache(), use_cache, max_nodes, deadline)
+    run = _EngineRun(
+        cache if cache is not None else MemoCache(), use_cache, max_nodes, budget_seconds
+    )
 
     if isinstance(strategy, Subposet):
         _validate_subset(strategy, S)
-        return _count_with_pivot_set(S, strategy, run)
-    if strategy == "layer":
+        A = strategy
+    elif strategy == "layer":
         if S != Subposet.cube(S.dim):
             raise ValueError("layer strategy requires the full cube")
         if S.dim < 2:
             raise ValueError("layer strategy requires dimension >= 2")
-        return _count_with_pivot_set(S, construct_layer_subset(S.dim, "even"), run)
-    if strategy != "single":
+        A = construct_layer_subset(S.dim, "even")
+    elif strategy == "single":
+        return _count_masks(list(S.masks), S.dim, run)
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    masks = list(S.masks)
-    if threads == 1 or len(masks) < 2:
-        return _count_masks(masks, S.dim, run)
-
-    adj = _comparability(masks)
-    if not any(adj):
-        return 1 << len(masks)
-    pivot = _select_pivot(masks, adj)
-    up_t, down_t = _updown_tables(S.dim)
-    bits = S.bitset
-    branches = [_mask_list(bits & ~up_t[pivot]), _mask_list(bits & ~down_t[pivot])]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(_count_masks, b, S.dim, run) for b in branches]
-        return sum(f.result() for f in futures)
+    s_bits = S.bitset
+    return sum(
+        _count_masks(_mask_list(s_bits & ~covered), S.dim, run)
+        for _, covered in _pivot_maps(A, run)
+    )
 
 
 def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
@@ -628,17 +609,6 @@ def _comparability_components(S: Subposet) -> list[Subposet]:
     ]
 
 
-def _intrinsic_dim(S: Subposet) -> int:
-    """Number of coordinates that actually vary across S."""
-    if not S.masks:
-        return 0
-    m_and = m_or = S.masks[0]
-    for m in S.masks[1:]:
-        m_and &= m
-        m_or |= m
-    return (m_or & ~m_and).bit_count()
-
-
 def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     """Decide completeness from the definition: every term of the partition
     must count as a product of full-cube counts, realized by the residual's
@@ -656,7 +626,7 @@ def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     (the smallest case: a four-point fence counting 8 = 2*2*2).
     """
     _validate_subset(A, S)
-    limit = _intrinsic_dim(S)
+    limit = _varying_coordinates(S.masks).bit_count()
     for term in partition_terms(S, A):
         for comp in _comparability_components(term.residual):
             k = len(comp).bit_length() - 1
@@ -794,42 +764,27 @@ def decompose_power_of_two(
     FalsificationError.
     """
     A = construct_layer_subset(n, parity)
-    up_t, down_t = _updown_tables(n)
-    a_masks = A.masks
-    k = len(a_masks)
-    up_pos, down_pos = _position_tables(a_masks)
+    up_t = _updown_tables(n)[0]
     full_bits = (1 << (1 << n)) - 1
     coeffs = [0] * ((1 << (n - 1)) + 1)
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    nodes = 0
-
-    def walk(undecided: int, covered: int, ones: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExceededError(f"decomposition node budget exceeded ({max_nodes})")
-        if deadline is not None and nodes & 0xFFF == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("decomposition time budget exceeded")
-        if undecided == 0:
-            residual = full_bits & ~covered
-            rm = _mask_list(residual)
-            for x in range(len(rm)):
-                mx = rm[x]
-                for y in range(x + 1, len(rm)):
-                    if mx & ~rm[y] == 0:
-                        pivot_text = ", ".join(
-                            f"{Point(a_masks[p], n)}={ones >> p & 1}" for p in range(k)
-                        )
-                        raise FalsificationError(
-                            f"residual of the layer pivot is not an antichain: "
-                            f"{Point(mx, n)} below {Point(rm[y], n)} "
-                            f"(n={n}, parity={parity}, pivot values {pivot_text})"
-                        )
-            coeffs[len(rm)] += 1
-            return
-        i = (undecided & -undecided).bit_length() - 1
-        walk(undecided & ~down_pos[i], covered | down_t[a_masks[i]], ones)
-        walk(undecided & ~up_pos[i], covered | up_t[a_masks[i]], ones | up_pos[i])
-
-    walk((1 << k) - 1, 0, 0)
+    run = _EngineRun(None, False, max_nodes, budget_seconds)
+    for ones, covered in _pivot_maps(A, run):
+        residual = full_bits & ~covered
+        # ascending m, and the lowest point above it: the first comparable
+        # pair in (m, y) order
+        rest = residual
+        while rest:
+            low = rest & -rest
+            m = low.bit_length() - 1
+            above = residual & up_t[m] & ~low
+            if above:
+                y = (above & -above).bit_length() - 1
+                pivot_text = ", ".join(f"{Point(a, n)}={ones >> a & 1}" for a in A.masks)
+                raise FalsificationError(
+                    f"residual of the layer pivot is not an antichain: "
+                    f"{Point(m, n)} below {Point(y, n)} "
+                    f"(n={n}, parity={parity}, pivot values {pivot_text})"
+                )
+            rest ^= low
+        coeffs[residual.bit_count()] += 1
     return TwoAdicPolynomial.from_counts({j: c for j, c in enumerate(coeffs) if c})

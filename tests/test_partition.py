@@ -2,6 +2,8 @@
 predicates and oracles, the two pivot-set constructions, and the power-of-two
 decomposition."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,28 @@ class TestEngine:
     def test_time_budget(self):
         with pytest.raises(BudgetExceededError):
             count_via_partition(Subposet.cube(4), budget_seconds=0.0)
+
+    def test_explicit_pivot_walk_spends_node_budget(self):
+        # pivoting on the whole cube leaves residuals of at most one point,
+        # which never reach the engine's recursion: the walk itself must tick
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(4), Subposet.cube(4), max_nodes=1)
+
+    def test_explicit_pivot_walk_spends_time_budget(self):
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(5), Subposet.cube(5), budget_seconds=0.0)
+
+    def test_pivot_walk_matches_partition_terms(self, rng):
+        # the engine's pivot walk against the enumeration oracle's term list,
+        # which shares no code with it
+        for n, trials in ((4, 20), (5, 8)):
+            for _ in range(trials):
+                S = random_subposet(rng, n, density=0.6)
+                A = Subposet(n, tuple(m for m in S.masks if rng.random() < 0.35))
+                expected = sum(
+                    count_monotone_oracle(t.residual) for t in partition_terms(S, A)
+                )
+                assert count_via_partition(S, A) == expected
 
 
 class TestPartitionTerms:
@@ -539,6 +563,15 @@ class TestPowerOfTwoDecomposition:
         for n in range(2, 6):
             for parity in ("even", "odd"):
                 assert decompose_power_of_two(n, parity).value() == PINNED_DEDEKIND[n]
+
+    def test_coefficients_match_partition_terms(self):
+        # each coefficient of 2^k counts the layer-pivot terms whose residual
+        # has k points, as listed by the independent term enumeration
+        for n in range(2, 6):
+            for parity in ("even", "odd"):
+                terms = partition_terms(Subposet.cube(n), construct_layer_subset(n, parity))
+                sizes = Counter(len(t.residual) for t in terms)
+                assert decompose_power_of_two(n, parity).as_dict() == dict(sizes)
 
     def test_non_layer_pivot_is_reported(self, monkeypatch):
         # a single middle point leaves a comparable pair in one residual;

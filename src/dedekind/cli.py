@@ -4,9 +4,10 @@ the power-of-two decomposition, with machine-readable reports.
 Exit codes are a stable contract: 0 success, 1 property failure, 2 input
 error, 3 budget exceeded, 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
-deterministic part of a report (everything except elapsed_ms and cache
-statistics) is byte-identical across thread counts.  DEDEKIND_THREADS sets
-the default thread count; the --threads flag wins.
+deterministic part of a report (everything except elapsed_ms, the memo
+table's hit and miss counts, and the threads echo) is byte-identical across
+thread counts.  Every subcommand takes --threads; DEDEKIND_THREADS sets its
+default, and the flag wins.
 """
 
 from __future__ import annotations
@@ -77,11 +78,10 @@ def _witness_dict(w) -> dict:
     }
 
 
-def _report(command: str, n, digest: str, result, *, threads: int = 1,
+def _report(command: str, n, digest: str, result, *,
             cache: MemoCache | None = None, **extra) -> dict:
     rep = {"command": command, "n": n, "input_digest": digest, "result": result}
     rep.update(extra)
-    rep["threads"] = threads
     rep["cache"] = (
         {"hits": cache.hits, "misses": cache.misses} if cache is not None
         else {"hits": 0, "misses": 0}
@@ -125,7 +125,7 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
         max_nodes=args.max_nodes,
         budget_seconds=args.budget_seconds,
     )
-    report = _report("count", n, digest, str(value), threads=args.threads, cache=cache)
+    report = _report("count", n, digest, str(value), cache=cache)
     return report, [str(value)], 0
 
 
@@ -384,17 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dedekind",
         description="Exact counting of monotone 0/1 maps on subposets of the n-cube.",
-        epilog="DEDEKIND_THREADS sets the default thread count; --threads wins.")
+        epilog="Every subcommand takes --threads; DEDEKIND_THREADS sets its "
+               "default, and the flag wins.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=int, default=None,
+                        help="thread count, validated and echoed in the report "
+                             "(default DEDEKIND_THREADS, else 1)")
 
-    p = sub.add_parser("count", help="count monotone maps on a cube or a poset file")
+    p = sub.add_parser("count", parents=[common],
+                       help="count monotone maps on a cube or a poset file")
     p.add_argument("--n", type=int, help="full cube dimension")
     p.add_argument("--poset", help="poset file (n=<dim> header, one point per line)")
     p.add_argument("--strategy", choices=("single", "layer"), default="single",
                    help="top-level pivot strategy (default single)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the canonical-form memo table")
+                   help="disable the memo table")
     p.add_argument("--max-nodes", type=int, default=None,
                    help="abort after this many engine nodes (exit 3)")
     p.add_argument("--budget-seconds", type=float, default=None,
@@ -402,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("verify", help="run a property suite for one statement")
+    p = sub.add_parser("verify", parents=[common],
+                       help="run a property suite for one statement")
     p.add_argument("--theorem", required=True, choices=tuple(_VERIFY_RUNNERS),
                    help="which statement to exercise")
     p.add_argument("--n", type=int, required=True)
@@ -411,25 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed, echoed in the report (default {DEFAULT_SEED})")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_verify, threads=1)
+    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("decompose",
+    p = sub.add_parser("decompose", parents=[common],
                        help="write D(E^n) as an exact polynomial in powers of two")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.set_defaults(handler=_cmd_decompose, threads=1)
+    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("check-complete",
+    p = sub.add_parser("check-complete", parents=[common],
                        help="test whether a subset completely partitions its cube")
     p.add_argument("--subset", required=True, help="subset file (poset format)")
     p.add_argument("--n", type=int, default=None,
                    help="expected dimension (cross-checked against the file)")
     p.add_argument("--mode", choices=COVER_MODES, default=DEFAULT_COVER_MODE)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_check_complete, threads=1)
+    p.set_defaults(handler=_cmd_check_complete)
 
     return parser
 
@@ -447,13 +453,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is None:
+        if args.threads is None:
             args.threads = _threads_default()
         if args.threads < 1:
             raise PosetParseError("--threads must be positive")
         start = time.monotonic()
         report, lines, code = args.handler(args)
         elapsed_ms = int((time.monotonic() - start) * 1000)
+        report["threads"] = args.threads
     except PosetParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ defaults to "ambient"; see DEFAULT_COVER_MODE.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -54,8 +53,10 @@ PINNED_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
 # strictly more sensitive (sound but incomplete on full cubes).
 DEFAULT_COVER_MODE = "ambient"
 
-# Full symmetry canonicalization is affordable through dimension 7 (2 * 7!
-# transforms); larger residuals fall back to an identity key.
+# The dimension up to which keys fold cube symmetry.  The symmetry table has
+# 2*d! x 2^d entries (10080 x 128 at d = 7) and grows too fast to build
+# beyond; larger sets are keyed by their own membership bitset.  Not an
+# input cap: that is poset.MAX_DIM.
 CANONICAL_DIM_CAP = 7
 
 MINIMAL = "minimal"
@@ -112,10 +113,13 @@ class TwoAdicPolynomial:
 
 
 class MemoCache:
-    """Thread-safe memo table keyed by canonical residual form.
+    """The engine's one memo table.  It holds both kinds of residual key: the
+    literal (dim, membership bitset) of a projected residual, and the
+    canonical form of a connected one.
 
-    Unbounded by default; with maxsize set, evicts the least recently used
-    entry.  hits and misses are running statistics for reporting.
+    Unbounded by default; with maxsize set, it evicts the least recently
+    used entry, so maxsize bounds every entry the engine stores.  hits and
+    misses are running statistics over literal and canonical lookups alike.
     """
 
     def __init__(self, maxsize: int | None = None):
@@ -125,34 +129,30 @@ class MemoCache:
         self.hits = 0
         self.misses = 0
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self.hits += 1
-                if self.maxsize is not None:
-                    self._data.move_to_end(key)
-                return self._data[key]
-            self.misses += 1
-            return None
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
+        if key in self._data:
+            self.hits += 1
             if self.maxsize is not None:
                 self._data.move_to_end(key)
-                while len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
+            return self._data[key]
+        self.misses += 1
+        return None
+
+    def put(self, key, value) -> None:
+        self._data[key] = value
+        if self.maxsize is not None:
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._data)
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
@@ -165,42 +165,30 @@ class MemoCache:
 @lru_cache(maxsize=None)
 def _symmetry_tables(dim: int) -> np.ndarray:
     """Point-index transforms of E^dim: all coordinate permutations followed
-    by the same composed with global complementation.  Shape (2*dim!, 2^dim)."""
+    by the same composed with global complementation.  Shape
+    (2*dim!, max(2^dim, 32)): below dimension 5 the slots past 2^dim index
+    cell 2^dim, which is never a member, so every row is whole 32-slot words."""
     size = 1 << dim
     bits = ((np.arange(size)[:, None] >> np.arange(dim)[None, :]) & 1).astype(np.int64)
     perms = list(itertools.permutations(range(dim)))
     place = np.array([[1 << p[i] for i in range(dim)] for p in perms], dtype=np.int64)
     transformed = (bits @ place.T).T  # (dim!, size)
     full = np.concatenate([transformed, (size - 1) - transformed])
+    full = np.pad(full, ((0, 0), (0, max(32 - size, 0))), constant_values=size)
     return np.ascontiguousarray(full, dtype=np.int32)
 
 
-def _canonical_payload(masks: Iterable[int], dim: int, fold_duality: bool) -> bytes:
-    masks = list(masks)
-    if dim > CANONICAL_DIM_CAP:
-        bits = 0
-        for m in masks:
-            bits |= 1 << m
-        payload = bits.to_bytes((1 << max(dim - 3, 0)) or 1, "little")
-        return b"\x01" + bytes([dim]) + payload
+def _canonical_payload(masks: list[int], dim: int, fold_duality: bool) -> bytes:
     tables = _symmetry_tables(dim)
-    rows = tables if fold_duality else tables[: tables.shape[0] // 2]
-    size = 1 << dim
-    memb = np.zeros(size, dtype=np.uint8)
+    width = tables.shape[1]
+    memb = np.zeros((1 << dim) + 1, dtype=np.uint8)
     if masks:
         memb[masks] = 1
-
-    if size < 32:
-        packed = np.packbits(memb[rows], axis=1)
-        width = packed.shape[1]
-        raw = packed.tobytes()
-        best = min(raw[o : o + width] for o in range(0, len(raw), width))
-        return b"\x00" + bytes([dim]) + best
 
     # radix minimum over the orbit, 32 point-slots (one big-endian word) at a
     # time: gather only surviving transforms, so most of the table is never
     # touched once the first words split the group
-    surviving = rows
+    surviving = tables if fold_duality else tables[: tables.shape[0] // 2]
     words = []
     offset = 0
     while True:
@@ -209,7 +197,7 @@ def _canonical_payload(masks: Iterable[int], dim: int, fold_duality: bool) -> by
         m = vals.min()
         words.append(int(m))
         offset += 32
-        if offset >= size:
+        if offset >= width:
             break
         surviving = surviving[vals == m]
         if surviving.shape[0] == 1:
@@ -224,9 +212,12 @@ def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
     """Canonical form of S under cube symmetry: the minimum membership bitset
     over all coordinate permutations, optionally composed with global
     complementation (which folds each subposet with its dual).  Above
-    dimension 7 the raw bitset is returned as an identity key.  Keys are
-    comparable only between calls with the same fold_duality setting."""
-    return _canonical_payload(S.masks, S.dim, fold_duality)
+    CANONICAL_DIM_CAP the key is S's own membership bitset, an identity key
+    that is equal only for equal sets.  Keys are comparable only between
+    calls with the same fold_duality setting."""
+    if S.dim > CANONICAL_DIM_CAP:
+        return b"\x01" + bytes([S.dim]) + S.bitset.to_bytes(1 << (S.dim - 3), "little")
+    return _canonical_payload(list(S.masks), S.dim, fold_duality)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ _NUMPY_ANALYSIS_THRESHOLD = 48
 class _EngineRun:
     """Mutable per-call state: cache handles, budgets, node statistics."""
 
-    __slots__ = ("cache", "use_cache", "max_nodes", "deadline", "nodes", "literal")
+    __slots__ = ("cache", "use_cache", "max_nodes", "deadline", "nodes")
 
     def __init__(self, cache: MemoCache | None, use_cache: bool, max_nodes, budget_seconds):
         self.cache = cache
@@ -248,7 +239,6 @@ class _EngineRun:
             time.monotonic() + budget_seconds if budget_seconds is not None else None
         )
         self.nodes = 0
-        self.literal: dict = {}
 
     def tick(self) -> None:
         self.nodes += 1
@@ -364,13 +354,14 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
         masks = [_extract_bits(m, varying) for m in masks]
         dim = vdim
 
+    # the literal key: exact for this projected residual at any dimension
+    bits = 0
+    for m in masks:
+        bits |= 1 << m
     literal_key = None
     if run.use_cache:
-        bits = 0
-        for m in masks:
-            bits |= 1 << m
         literal_key = (dim, bits)
-        cached = run.literal.get(literal_key)
+        cached = run.cache.get(literal_key)
         if cached is not None:
             return cached
 
@@ -386,25 +377,21 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
                 result *= _count_masks(comp_masks, dim, run)
         else:
             key = None
-            if run.use_cache:
+            if run.use_cache and dim <= CANONICAL_DIM_CAP:
                 key = _canonical_payload(masks, dim, True)
                 cached = run.cache.get(key)
                 if cached is not None:
-                    if literal_key is not None:
-                        run.literal[literal_key] = cached
+                    run.cache.put(literal_key, cached)
                     return cached
             pivot = _select_pivot(masks, adj)
             up_t, down_t = _updown_tables(dim)
-            bits = 0
-            for m in masks:
-                bits |= 1 << m
             left = _count_masks(_mask_list(bits & ~up_t[pivot]), dim, run)
             right = _count_masks(_mask_list(bits & ~down_t[pivot]), dim, run)
             result = left + right
             if key is not None:
                 run.cache.put(key, result)
     if literal_key is not None:
-        run.literal[literal_key] = result
+        run.cache.put(literal_key, result)
     return result
 
 

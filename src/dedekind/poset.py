@@ -17,14 +17,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import PosetParseError
 
-MAX_DIM = 16
+# The one input cap: the largest cube whose per-point up-set/down-set tables
+# (2^12 entries of 4096-bit ints, a few MB) every engine path builds.  Points,
+# subposets and poset files of a larger dimension are rejected on entry.
+MAX_DIM = 12
 
 COVER_MODES = ("ambient", "induced")
-
-# Dimension bound for the per-point up-set/down-set bitset tables.  2^12
-# entries of 4096-bit ints is a few MB; anything larger is never needed
-# internally (exact counting stops well below).
-_TABLE_DIM_CAP = 12
 
 
 def _check_dim(dim: int) -> None:
@@ -421,8 +419,6 @@ def cover_preserving_isomorphic(P: Subposet, Q: Subposet, *, max_size: int = 12)
 def _updown_tables(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-point bitsets over point space: up[m] / down[m] cover the closed
     up-set / down-set of mask m within the full cube."""
-    if dim > _TABLE_DIM_CAP:
-        raise ValueError(f"up/down tables capped at dimension {_TABLE_DIM_CAP}")
     size = 1 << dim
     down = [0] * size
     for m in range(size):

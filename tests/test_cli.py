@@ -79,6 +79,22 @@ class TestCount:
         assert run(capsys, "count", "--poset", str(tmp_path / "absent.txt"))[0] == 2
         assert run(capsys, "count", "--n", "2", "--poset", "x.txt")[0] == 2
         assert run(capsys, "count")[0] == 2
+        code, _, err = run(capsys, "count", "--n", "13")
+        assert code == 2
+        assert "[0, 12]" in err
+        path = tmp_path / "e13.txt"
+        path.write_text("n=13\n" + "0" * 13 + "\n" + "1" * 13 + "\n")
+        code, _, err = run(capsys, "count", "--poset", str(path))
+        assert code == 2
+        assert "[0, 12]" in err
+
+    def test_top_dimension_chain(self, capsys, tmp_path):
+        # E^12 is the top of the input range and above the canonical-key
+        # dimension, so the engine keys this residual literally
+        path = write_poset(tmp_path, "chain12.txt", Subposet(12, (0, (1 << 12) - 1)))
+        code, out, _ = run(capsys, "count", "--poset", path)
+        assert code == 0
+        assert out == "3\n"
 
     def test_malformed_poset_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -318,5 +334,19 @@ class TestThreadEnvironment:
         monkeypatch.setenv("DEDEKIND_THREADS", "0")
         assert run(capsys, "count", "--n", "2")[0] == 2
 
-    def test_zero_flag_rejected(self, capsys):
+    def test_zero_flag_rejected(self, capsys, tmp_path):
         assert run(capsys, "count", "--n", "2", "--threads", "0")[0] == 2
+        path = write_poset(tmp_path, "square.txt", Subposet.cube(2))
+        assert run(capsys, "check-complete", "--subset", path,
+                   "--threads", "0")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--n", "3"),
+        ("verify", "--theorem", "corollary", "--n", "3"),
+    ])
+    def test_every_subcommand_echoes_threads(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("DEDEKIND_THREADS", "8")
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["threads"] == 8
+        _, out, _ = run(capsys, *argv, "--threads", "2", "--format", "json")
+        assert json.loads(out)["threads"] == 2

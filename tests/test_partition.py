@@ -2,6 +2,7 @@
 predicates and oracles, the two pivot-set constructions, and the power-of-two
 decomposition."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import brute_count_monotone, random_subposet
 from dedekind.errors import BudgetExceededError, FalsificationError
 from dedekind.monotone import count_monotone_oracle
 from dedekind.partition import (
+    CANONICAL_DIM_CAP,
     COMPLETE_BUT_NOT_MINIMAL,
     DEFAULT_COVER_MODE,
     MINIMAL,
@@ -99,6 +101,15 @@ class TestEngine:
         # the warm run answers from the table without a single new entry
         assert cache.misses == misses_after_first
         assert cache.hits >= 1
+
+    @pytest.mark.parametrize("maxsize", [1, 4, 64])
+    def test_evicting_cache_matches_oracle(self, rng, maxsize):
+        for n, trials in ((4, 10), (5, 6)):
+            for _ in range(trials):
+                S = random_subposet(rng, n)
+                cache = MemoCache(maxsize=maxsize)
+                assert count_via_partition(S, cache=cache) == count_monotone_oracle(S)
+                assert len(cache) <= maxsize
 
     def test_thread_count_does_not_change_result(self):
         for n in (3, 4, 5):
@@ -204,11 +215,34 @@ class TestCorollarySplit:
 
 class TestCanonicalKey:
     def test_coordinate_relabeling_invariance(self, rng):
-        for _ in range(40):
-            S = random_subposet(rng, 4)
-            perm = list(range(4))
-            rng.shuffle(perm)
-            assert canonical_key(S) == canonical_key(permute_coordinates(S, perm))
+        for dim in range(CANONICAL_DIM_CAP + 1):
+            for _ in range(40):
+                S = random_subposet(rng, dim)
+                perm = list(range(dim))
+                rng.shuffle(perm)
+                T = permute_coordinates(S, perm)
+                for fold in (True, False):
+                    assert canonical_key(S, fold_duality=fold) == canonical_key(
+                        T, fold_duality=fold
+                    )
+                assert canonical_key(S.dual()) == canonical_key(S)
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_keys_partition_like_brute_orbits(self, fold):
+        # the brute key: the least sorted mask tuple over every image of S
+        # under the symmetries the key claims to fold
+        for dim in (2, 3):
+            size = 1 << dim
+            perms = list(itertools.permutations(range(dim)))
+            pairs = set()
+            for bits in range(1 << size):
+                S = Subposet(dim, tuple(m for m in range(size) if bits >> m & 1))
+                images = [permute_coordinates(S, list(p)) for p in perms]
+                if fold:
+                    images += [T.dual() for T in images]
+                pairs.add((canonical_key(S, fold_duality=fold), min(T.masks for T in images)))
+            # equal keys exactly when equal brute keys: the pairing is a bijection
+            assert len(pairs) == len({k for k, _ in pairs}) == len({b for _, b in pairs})
 
     def test_single_points_of_square_share_key(self):
         assert canonical_key(Subposet(2, (2,))) == canonical_key(Subposet(2, (1,)))

@@ -6,8 +6,8 @@ error, 3 budget exceeded, 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
 deterministic part of a report (everything except elapsed_ms, the memo
 table's hit and miss counts, and the threads echo) is byte-identical across
-thread counts.  Every subcommand takes --threads; DEDEKIND_THREADS sets its
-default, and the flag wins.
+thread counts.  DEDEKIND_THREADS sets the thread count every report echoes;
+count's --threads flag wins over it.
 """
 
 from __future__ import annotations
@@ -384,20 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dedekind",
         description="Exact counting of monotone 0/1 maps on subposets of the n-cube.",
-        epilog="Every subcommand takes --threads; DEDEKIND_THREADS sets its "
-               "default, and the flag wins.")
+        epilog="DEDEKIND_THREADS sets the thread count every report echoes; "
+               "count's --threads wins.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="thread count, validated and echoed in the report "
-                             "(default DEDEKIND_THREADS, else 1)")
 
-    p = sub.add_parser("count", parents=[common],
-                       help="count monotone maps on a cube or a poset file")
+    p = sub.add_parser("count", help="count monotone maps on a cube or a poset file")
     p.add_argument("--n", type=int, help="full cube dimension")
     p.add_argument("--poset", help="poset file (n=<dim> header, one point per line)")
     p.add_argument("--strategy", choices=("single", "layer"), default="single",
                    help="top-level pivot strategy (default single)")
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-cache", action="store_true",
                    help="disable the memo table")
     p.add_argument("--max-nodes", type=int, default=None,
@@ -407,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a property suite for one statement")
+    p = sub.add_parser("verify", help="run a property suite for one statement")
     p.add_argument("--theorem", required=True, choices=tuple(_VERIFY_RUNNERS),
                    help="which statement to exercise")
     p.add_argument("--n", type=int, required=True)
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose",
                        help="write D(E^n) as an exact polynomial in powers of two")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
@@ -428,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, default=None)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("check-complete", parents=[common],
+    p = sub.add_parser("check-complete",
                        help="test whether a subset completely partitions its cube")
     p.add_argument("--subset", required=True, help="subset file (poset format)")
     p.add_argument("--n", type=int, default=None,
@@ -453,7 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is None:
+        if getattr(args, "threads", None) is None:
             args.threads = _threads_default()
         if args.threads < 1:
             raise PosetParseError("--threads must be positive")

@@ -120,6 +120,7 @@ class MemoCache:
     Unbounded by default; with maxsize set, it evicts the least recently
     used entry, so maxsize bounds every entry the engine stores.  hits and
     misses are running statistics over literal and canonical lookups alike.
+    Not thread-safe: share one instance between calls on one thread only.
     """
 
     def __init__(self, maxsize: int | None = None):

@@ -334,19 +334,21 @@ class TestThreadEnvironment:
         monkeypatch.setenv("DEDEKIND_THREADS", "0")
         assert run(capsys, "count", "--n", "2")[0] == 2
 
-    def test_zero_flag_rejected(self, capsys, tmp_path):
+    def test_zero_flag_rejected(self, capsys):
         assert run(capsys, "count", "--n", "2", "--threads", "0")[0] == 2
+
+    def test_zero_env_rejected_without_flag(self, capsys, monkeypatch, tmp_path):
+        # check-complete has no --threads flag; the env value is still
+        # resolved and validated
+        monkeypatch.setenv("DEDEKIND_THREADS", "0")
         path = write_poset(tmp_path, "square.txt", Subposet.cube(2))
-        assert run(capsys, "check-complete", "--subset", path,
-                   "--threads", "0")[0] == 2
+        assert run(capsys, "check-complete", "--subset", path)[0] == 2
 
     @pytest.mark.parametrize("argv", [
         ("decompose", "--n", "3"),
         ("verify", "--theorem", "corollary", "--n", "3"),
     ])
-    def test_every_subcommand_echoes_threads(self, capsys, monkeypatch, argv):
+    def test_every_subcommand_echoes_env_threads(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("DEDEKIND_THREADS", "8")
         _, out, _ = run(capsys, *argv, "--format", "json")
         assert json.loads(out)["threads"] == 8
-        _, out, _ = run(capsys, *argv, "--threads", "2", "--format", "json")
-        assert json.loads(out)["threads"] == 2

@@ -2,7 +2,8 @@
 the power-of-two decomposition, with machine-readable reports.
 
 Exit codes are a stable contract: 0 success, 1 property failure, 2 input
-error, 3 budget exceeded, 4 theorem falsification.  JSON reports serialize
+error, 3 budget exceeded or run stopped (recursion limit, out of memory,
+interrupt), 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
 deterministic part of a report (everything except elapsed_ms, the memo
 table's hit and miss counts, and the threads echo) is byte-identical across
@@ -464,6 +465,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError, KeyboardInterrupt) as exc:
+        print(f"stopped: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
         return 3
     except FalsificationError as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)

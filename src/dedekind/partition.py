@@ -8,7 +8,10 @@ down to an antichain, turning D(E^n) into an exact polynomial in powers of
 two.  The engine memoizes residuals under cube symmetry (coordinate
 permutations, optionally folded with global complementation, which reverses
 the order and preserves counts) and splits order-disconnected residuals
-multiplicatively.
+multiplicatively.  A residual's canonical key is its least image over the
+symmetries that sort its coordinates by a weight-histogram invariant, a
+partition refinement in the style of McKay and Piperno, so a key searches a
+handful of the 2*d! symmetries rather than all of them.
 
 Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
@@ -179,42 +182,91 @@ def _symmetry_tables(dim: int) -> np.ndarray:
     return np.ascontiguousarray(full, dtype=np.int32)
 
 
-def _canonical_payload(masks: list[int], dim: int, fold_duality: bool) -> bytes:
+@lru_cache(maxsize=None)
+def _permutation_rows(dim: int) -> dict[tuple[int, ...], int]:
+    """Row of each coordinate permutation in _symmetry_tables(dim): its rank
+    in lexicographic order, the order itertools.permutations lists."""
+    return {p: r for r, p in enumerate(itertools.permutations(range(dim)))}
+
+
+@lru_cache(maxsize=None)
+def _coordinate_weights(dim: int) -> np.ndarray:
+    """Shape (2^dim, 2*dim).  Column i of row x is 256^weight(x) if x has
+    coordinate i set, else 0; column dim + i is the same for the complement
+    of x.  Summed over the members of a set, column i packs the weight
+    histogram of the members that have coordinate i set into one integer,
+    8 bits a weight (a count is at most C(6, 3) = 20 at dim 7); the last dim
+    columns give the same for the set's dual."""
+    x = np.arange(1 << dim, dtype=np.int64)
+    cols = []
+    for y in (x, ((1 << dim) - 1) ^ x):
+        bits = (y[:, None] >> np.arange(dim)) & 1
+        cols.append(bits << (8 * bits.sum(axis=1))[:, None])
+    return np.concatenate(cols, axis=1)
+
+
+def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.ndarray:
+    """The rows of _symmetry_tables(dim) whose images of the set (memb is
+    its membership vector) list the coordinates in ascending invariant
+    order (see _coordinate_weights), in the orientation whose sorted
+    invariants are least (both when the set and its dual tie).  This
+    candidate set is defined by the images alone, so every member of an
+    orbit gets the same set of images and the least of them is a canonical
+    form.  The row of permutation p maps image coordinate j to set
+    coordinate p[j]."""
     tables = _symmetry_tables(dim)
-    width = tables.shape[1]
+    half = tables.shape[0] // 2
+    inv = (memb[: 1 << dim] @ _coordinate_weights(dim)).tolist()
+    pairs = ((inv[:dim], 0), (inv[dim:], half)) if fold_duality else ((inv[:dim], 0),)
+    keyed = [(sorted(vec), vec, base) for vec, base in pairs]
+    least = min(keyed)[0]
+    orientations = [(vec, base) for key, vec, base in keyed if key == least]
+    if len(set(inv[:dim])) <= 1:
+        # one invariant class, and then the dual has one too: every
+        # permutation of a kept orientation is a candidate, so the rows
+        # are one table half, or both, and a view indexes them
+        return tables[orientations[0][1] : orientations[-1][1] + half]
+    ranks = _permutation_rows(dim)
+    rows = []
+    for vec, base in orientations:
+        order = sorted(range(dim), key=vec.__getitem__)
+        blocks = [tuple(b) for _, b in itertools.groupby(order, key=vec.__getitem__)]
+        for parts in itertools.product(*map(itertools.permutations, blocks)):
+            rows.append(base + ranks[sum(parts, ())])
+    return tables[rows]
+
+
+def _canonical_payload(masks: list[int], dim: int, fold_duality: bool) -> bytes:
     memb = np.zeros((1 << dim) + 1, dtype=np.uint8)
     if masks:
         memb[masks] = 1
 
-    # radix minimum over the orbit, 32 point-slots (one big-endian word) at a
-    # time: gather only surviving transforms, so most of the table is never
-    # touched once the first words split the group
-    surviving = tables if fold_duality else tables[: tables.shape[0] // 2]
-    words = []
+    # radix minimum over the candidate images, 32 point-slots (one
+    # big-endian word) at a time: gather only surviving transforms
+    surviving = _candidate_transforms(memb, dim, fold_duality)
+    parts = [b"\x00", bytes([dim])]
     offset = 0
-    while True:
-        chunk = memb[surviving[:, offset : offset + 32]]
-        vals = np.packbits(chunk, axis=1).view(">u4").ravel()
+    while surviving.shape[0] > 1 and offset < surviving.shape[1]:
+        vals = np.packbits(memb[surviving[:, offset : offset + 32]], axis=1).view(">u4").ravel()
         m = vals.min()
-        words.append(int(m))
-        offset += 32
-        if offset >= width:
-            break
+        parts.append(int(m).to_bytes(4, "big"))
         surviving = surviving[vals == m]
-        if surviving.shape[0] == 1:
-            rest = np.packbits(memb[surviving[0, offset:]]).view(">u4")
-            words.extend(int(w) for w in rest)
-            break
-    payload = b"".join(w.to_bytes(4, "big") for w in words)
-    return b"\x00" + bytes([dim]) + payload
+        offset += 32
+    if offset < surviving.shape[1]:
+        parts.append(np.packbits(memb[surviving[0, offset:]]).tobytes())
+    return b"".join(parts)
 
 
 def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
-    """Canonical form of S under cube symmetry: the minimum membership bitset
-    over all coordinate permutations, optionally composed with global
-    complementation (which folds each subposet with its dual).  Above
-    CANONICAL_DIM_CAP the key is S's own membership bitset, an identity key
-    that is equal only for equal sets.  Keys are comparable only between
+    """Canonical form of S under cube symmetry, optionally folded with global
+    complementation (which folds each subposet with its dual): equal keys
+    exactly when one set maps to the other.  The key is the least membership
+    bitset over the images that list the coordinates in ascending order of
+    their invariant (the weight histogram of the members on that
+    coordinate), taken in the orientation, S or its dual, whose sorted
+    invariants are least; it is not the least image over every permutation.
+    Above CANONICAL_DIM_CAP the key is S's own membership bitset, an identity
+    key that is equal only for equal sets.  Keys are comparable only between
     calls with the same fold_duality setting."""
     if S.dim > CANONICAL_DIM_CAP:
         return b"\x01" + bytes([S.dim]) + S.bitset.to_bytes(1 << (S.dim - 3), "little")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import dedekind.cli as cli_module
 import dedekind.partition as partition_module
 from dedekind.cli import main
 from dedekind.poset import Subposet
@@ -287,6 +288,21 @@ class TestCheckComplete:
     def test_dimension_cross_check(self, capsys, tmp_path):
         path = write_poset(tmp_path, "even4.txt", Subposet.cube(2))
         assert run(capsys, "check-complete", "--subset", path, "--n", "3")[0] == 2
+
+
+class TestStoppedRuns:
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError, KeyboardInterrupt])
+    def test_stop_exits_three_with_one_line(self, capsys, monkeypatch, error):
+        # exit 1 means a property failed, so a run that cannot finish must
+        # not end there through an uncaught traceback
+        def handler(args):
+            raise error("deep")
+
+        monkeypatch.setattr(cli_module, "_cmd_count", handler)
+        code, out, err = run(capsys, "count", "--n", "3", "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err == f"stopped: {error.__name__} deep\n"
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ decomposition."""
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,14 @@ from dedekind.partition import (
     numeric_completeness_oracle,
     partition_terms,
 )
-from dedekind.poset import Point, Subposet, cover_preserving_isomorphic, find_v3
+from dedekind.poset import (
+    Point,
+    Subposet,
+    cover_preserving_isomorphic,
+    find_v3,
+    lower_set,
+    upper_set,
+)
 
 
 def permute_coordinates(S: Subposet, perm: list[int]) -> Subposet:
@@ -43,6 +51,46 @@ def permute_coordinates(S: Subposet, perm: list[int]) -> Subposet:
         sum(((m >> i) & 1) << perm[i] for i in range(S.dim)) for m in S.masks
     )
     return Subposet(S.dim, remapped)
+
+
+def cube_residual(rng, dim: int) -> Subposet:
+    """E^dim minus the up-sets of 1-3 points of weight 2-3 and the down-sets
+    of 1-3 points of weight dim-3 to dim-2: the shape of the engine's E^7
+    benchmark residuals."""
+    low = [m for m in range(1 << dim) if m.bit_count() in (2, 3)]
+    high = [m for m in range(1 << dim) if m.bit_count() in (dim - 3, dim - 2)]
+    S = Subposet.cube(dim)
+    for _ in range(rng.randint(1, 3)):
+        S = S.minus(upper_set(Point(rng.choice(low), dim)))
+    for _ in range(rng.randint(1, 3)):
+        S = S.minus(lower_set(Point(rng.choice(high), dim)))
+    return S
+
+
+def exhaustive_key(S: Subposet, fold: bool) -> bytes:
+    """The key the refined canonical form replaced: the least membership
+    image of S over every row of the symmetry table."""
+    tables = partition_module._symmetry_tables(S.dim)
+    rows = tables if fold else tables[: tables.shape[0] // 2]
+    memb = np.zeros((1 << S.dim) + 1, dtype=np.uint8)
+    memb[list(S.masks)] = 1
+    return min(bytes(image) for image in np.packbits(memb[rows], axis=1))
+
+
+def assert_orbits_match_exhaustive(rng, sets, fold: bool) -> None:
+    """Each set, two coordinate relabelings of it and its dual must split
+    into the same classes under canonical_key as under exhaustive_key."""
+    pairs = set()
+    for S in sets:
+        family = [S, S.dual()]
+        for _ in range(2):
+            perm = list(range(S.dim))
+            rng.shuffle(perm)
+            family.append(permute_coordinates(S, perm))
+        for T in family:
+            pairs.add((canonical_key(T, fold_duality=fold), exhaustive_key(T, fold)))
+    # equal keys exactly when equal reference keys: the pairing is a bijection
+    assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
 
 
 class TestEngine:
@@ -86,8 +134,11 @@ class TestEngine:
             count_via_partition(Subposet(2, (0,)), Subposet(2, (3,)))  # pivot not inside
 
     def test_cache_on_off_identical(self, rng):
-        for _ in range(10):
-            S = random_subposet(rng, 4)
+        # with the cache off no canonical key is computed, so the E^6
+        # residuals check the engine's memo against plain recursion
+        sets = [random_subposet(rng, 4) for _ in range(10)]
+        sets += [cube_residual(rng, 6) for _ in range(8)]
+        for S in sets:
             assert count_via_partition(S, use_cache=True) == count_via_partition(
                 S, use_cache=False
             )
@@ -226,6 +277,47 @@ class TestCanonicalKey:
                         T, fold_duality=fold
                     )
                 assert canonical_key(S.dual()) == canonical_key(S)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_coordinate_relabeling_invariance_hypothesis(self, data):
+        dim = data.draw(st.integers(min_value=0, max_value=CANONICAL_DIM_CAP))
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << dim)) - 1))
+        perm = data.draw(st.permutations(range(dim)))
+        S = Subposet(dim, tuple(m for m in range(1 << dim) if bits >> m & 1))
+        T = permute_coordinates(S, perm)
+        for fold in (True, False):
+            assert canonical_key(T, fold_duality=fold) == canonical_key(S, fold_duality=fold)
+        assert canonical_key(S.dual()) == canonical_key(S)
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_orbits_match_exhaustive_key_on_random_sets(self, rng, fold):
+        for dim, trials in ((4, 40), (5, 30), (6, 20), (7, 10)):
+            sets = [random_subposet(rng, dim) for _ in range(trials)]
+            assert_orbits_match_exhaustive(rng, sets, fold)
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_orbits_match_exhaustive_key_where_invariants_tie(self, rng, fold):
+        # sets whose coordinates the invariants cannot split, or split only
+        # into large classes: the full cube, single weight layers, and the
+        # cube minus the up-set of a point of each weight; and a set whose
+        # sorted invariants tie with its dual's though no relabeling maps
+        # one to the other, so folding must search both orientations
+        tied = Subposet(4, (2, 4, 6, 7, 9, 11))
+        assert exhaustive_key(tied, False) != exhaustive_key(tied.dual(), False)
+        for dim in (4, 5, 6, 7):
+            cube = Subposet.cube(dim)
+            sets = [cube, Subposet.empty(dim)] + ([tied] if dim == 4 else [])
+            for w in range(dim + 1):
+                sets.append(Subposet(dim, tuple(m for m in cube.masks if m.bit_count() == w)))
+                sets.append(cube.minus(upper_set(Point((1 << w) - 1, dim))))
+            assert_orbits_match_exhaustive(rng, sets, fold)
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_orbits_match_exhaustive_key_on_cube_residuals(self, rng, fold):
+        for dim, trials in ((6, 20), (7, 12)):
+            sets = [cube_residual(rng, dim) for _ in range(trials)]
+            assert_orbits_match_exhaustive(rng, sets, fold)
 
     @pytest.mark.parametrize("fold", [True, False])
     def test_keys_partition_like_brute_orbits(self, fold):

@@ -38,11 +38,11 @@ from .poset import (
     COVER_MODES,
     Point,
     Subposet,
+    _generated_bits,
     _mask_list,
     _updown_tables,
     cover_preserving_isomorphic,
     find_v3,
-    generated_subset,
 )
 
 # Monotone map counts of the full cubes E^0 .. E^6, cross-checked against the
@@ -470,7 +470,7 @@ def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
 def _validate_subset(A: Subposet, S: Subposet) -> None:
     if A.dim != S.dim:
         raise ValueError(f"dimension mismatch: {A.dim} vs {S.dim}")
-    if not set(A.masks) <= set(S.masks):
+    if A.bitset & ~S.bitset:
         raise ValueError("pivot subset must be contained in S")
 
 
@@ -530,14 +530,14 @@ def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
     value tuple of their pivot maps.  Desk-scale: every monotone map on A is
     listed."""
     _validate_subset(A, S)
-    s_masks = set(S.masks)
-    terms = []
+    keyed = []
     for f in enumerate_monotone(A):
-        forced = set(generated_subset(A, f.values()).masks)
-        residual = Subposet(S.dim, tuple(m for m in s_masks if m not in forced))
-        terms.append(PartitionTerm(f, residual))
-    terms.sort(key=lambda t: t.pivot_values.values())
-    return terms
+        values = f.values()
+        forced = _generated_bits(A, values)
+        residual = Subposet(S.dim, tuple(m for m in S.masks if not forced >> m & 1))
+        keyed.append((values, PartitionTerm(f, residual)))
+    keyed.sort(key=lambda vt: vt[0])
+    return [term for _, term in keyed]
 
 
 def corollary_split(

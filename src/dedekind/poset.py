@@ -191,7 +191,7 @@ class Subposet:
         return iter(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return p.dim == self.dim and p.mask in set(self.masks)
+        return p.dim == self.dim and bool(self.bitset >> p.mask & 1)
 
     def to_text(self) -> str:
         lines = [f"n={self.dim}"]
@@ -230,46 +230,51 @@ def _check_dim_parse(dim: int) -> None:
         raise PosetParseError(f"dimension must lie in [0, {MAX_DIM}], got {dim}")
 
 
+def _closure_bits(base: int, free: int) -> int:
+    """Point-space bitset of base | s over every submask s of free."""
+    bits = 0
+    sub = free
+    while True:
+        bits |= 1 << (base | sub)
+        if sub == 0:
+            return bits
+        sub = (sub - 1) & free
+
+
 def upper_set(a: Point) -> Subposet:
     """All points of the cube above a (inclusive); size 2^(n - weight)."""
     free = ((1 << a.dim) - 1) & ~a.mask
-    masks = []
-    sub = free
-    while True:
-        masks.append(a.mask | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return Subposet(a.dim, tuple(masks))
+    return Subposet(a.dim, tuple(_mask_list(_closure_bits(a.mask, free))))
 
 
 def lower_set(a: Point) -> Subposet:
     """All points of the cube below a (inclusive); size 2^weight."""
-    masks = []
-    sub = a.mask
-    while True:
-        masks.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & a.mask
-    return Subposet(a.dim, tuple(masks))
+    return Subposet(a.dim, tuple(_mask_list(_closure_bits(0, a.mask))))
+
+
+def _generated_bits(A: Subposet, y: Sequence[int]) -> int:
+    """Point-space bitset of the region generated_subset(A, y) covers."""
+    if len(y) != len(A.masks):
+        raise ValueError(f"value vector length {len(y)} != |A| = {len(A.masks)}")
+    full = (1 << A.dim) - 1
+    bits = 0
+    for m, v in zip(A.masks, y):
+        if v == 1:
+            bits |= _closure_bits(m, full & ~m)
+        elif v == 0:
+            bits |= _closure_bits(0, m)
+        else:
+            raise ValueError(f"values must be 0 or 1, got {v!r}")
+    return bits
 
 
 def generated_subset(A: Subposet, y: Sequence[int]) -> Subposet:
     """Union of upper_set(a_i) where y_i = 1 and lower_set(a_i) where y_i = 0.
 
     y is paired with A's canonical (ascending numeric) member order and must
-    match its length.
+    match its length.  The region is built as one point-space bitset.
     """
-    if len(y) != len(A.masks):
-        raise ValueError(f"value vector length {len(y)} != |A| = {len(A.masks)}")
-    masks: set[int] = set()
-    for m, v in zip(A.masks, y):
-        if v not in (0, 1):
-            raise ValueError(f"values must be 0 or 1, got {v!r}")
-        p = Point(m, A.dim)
-        masks.update((upper_set(p) if v else lower_set(p)).masks)
-    return Subposet(A.dim, tuple(masks))
+    return Subposet(A.dim, tuple(_mask_list(_generated_bits(A, y))))
 
 
 def ambient_cover_pairs(S: Subposet) -> list[CoverPair]:

@@ -251,5 +251,5 @@ def test_09_seven_cube_stretch_within_budget():
             f"stretch target aborted honestly after {elapsed:.0f}s "
             f"(sanctioned outcome: the criterion allows failure with the "
             f"budget-exceeded exit; the engine reproduces "
-            f"{SEVEN_CUBE_COUNT} in roughly 14 minutes unbudgeted)",
+            f"{SEVEN_CUBE_COUNT} in 145-191 s unbudgeted on a 2-vCPU host)",
         )

@@ -41,6 +41,7 @@ from dedekind.poset import (
     Subposet,
     cover_preserving_isomorphic,
     find_v3,
+    generated_subset,
     lower_set,
     upper_set,
 )
@@ -241,8 +242,31 @@ class TestPartitionTerms:
             assert total == count_monotone_oracle(S)
 
     def test_pivot_must_be_subset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pivot subset must be contained in S"):
             partition_terms(Subposet(2, (1, 2)), Subposet(2, (0,)))
+        with pytest.raises(ValueError, match="pivot subset must be contained in S"):
+            partition_terms(Subposet(3, (1, 2, 7)), Subposet(3, (1, 2, 3)))
+        with pytest.raises(ValueError, match="pivot subset must be contained in S"):
+            count_via_partition(Subposet(3, (0, 5)), Subposet(3, (5, 6)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            partition_terms(Subposet.cube(2), Subposet(3, (1,)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+    def test_partition_identity_hypothesis(self, s_bits, a_bits):
+        # the oracle sum over the term list, the engine's pivot walk on A and
+        # the single-pivot engine must agree for any S of E^5 and A within S
+        S = Subposet(5, tuple(m for m in range(32) if s_bits >> m & 1))
+        A = Subposet(5, tuple(m for m in S.masks if a_bits >> m & 1))
+        terms = partition_terms(S, A)
+        total = sum(count_monotone_oracle(t.residual) for t in terms)
+        assert total == count_via_partition(S, A) == count_via_partition(S)
+        for t in terms:
+            forced = generated_subset(A, t.pivot_values.values())
+            assert not set(t.residual.masks) & set(forced.masks)
+            assert t.residual == S.minus(forced)
+        keys = [t.pivot_values.values() for t in terms]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestCorollarySplit:

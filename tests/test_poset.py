@@ -2,6 +2,7 @@
 and the cover-preserving isomorphism routine."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,16 @@ def P(text: str) -> Point:
 
 def S(dim: int, *texts: str) -> Subposet:
     return Subposet.from_points([Point.from_text(t) for t in texts]) if texts else Subposet(dim, ())
+
+
+def union_reference(A: Subposet, y) -> Subposet:
+    """The set-union path generated_subset replaced: merge the up-set or
+    down-set of every member of A in a Python set."""
+    masks: set[int] = set()
+    for m, v in zip(A.masks, y):
+        p = Point(m, A.dim)
+        masks.update((upper_set(p) if v else lower_set(p)).masks)
+    return Subposet(A.dim, tuple(masks))
 
 
 class TestPoint:
@@ -106,6 +117,14 @@ class TestSubposet:
         assert Point(3, 2) in sub
         assert Point(1, 2) not in sub
 
+    def test_membership_needs_same_dimension(self):
+        sub = Subposet(2, (1, 3))
+        assert Point(1, 2) in sub
+        assert Point(1, 3) not in sub
+        assert Point(3, 3) not in sub
+        assert Point(0, 0) not in Subposet.empty(0)
+        assert Point(0, 0) in Subposet.cube(0)
+
     def test_cube_and_empty(self):
         assert len(Subposet.cube(3)) == 8
         assert len(Subposet.empty(3)) == 0
@@ -144,6 +163,15 @@ class TestSetConstructions:
         assert lower_set(P("00")).masks == (0,)
         assert upper_set(P("01")).masks == (2, 3)  # {01, 11}
 
+    def test_upper_lower_match_order(self):
+        for n in range(5):
+            for m in range(1 << n):
+                a = Point(m, n)
+                above = tuple(b for b in range(1 << n) if leq(a, Point(b, n)))
+                below = tuple(b for b in range(1 << n) if leq(Point(b, n), a))
+                assert upper_set(a).masks == above
+                assert lower_set(a).masks == below
+
     def test_sizes(self):
         for n in range(1, 5):
             for m in range(1 << n):
@@ -158,12 +186,36 @@ class TestSetConstructions:
         B = S(3, "010")
         assert generated_subset(B, (0,)).masks == (0, 2)  # {000, 010}
 
+    def test_generated_subset_matches_union_on_small_cubes(self):
+        for n in (2, 3):
+            for bits in range(1 << (1 << n)):
+                A = Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+                for y in itertools.product((0, 1), repeat=len(A)):
+                    assert generated_subset(A, y) == union_reference(A, y)
+
+    def test_generated_subset_matches_union_on_random_pivots(self):
+        rng = random.Random(5)
+        for n in (4, 5, 6):
+            for _ in range(60):
+                density = rng.uniform(0.05, 0.5)
+                A = Subposet(n, tuple(m for m in range(1 << n) if rng.random() < density))
+                y = tuple(rng.randrange(2) for _ in A.masks)
+                assert generated_subset(A, y) == union_reference(A, y)
+
     def test_generated_subset_validation(self):
         A = S(2, "00", "11")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="value vector length 1 != "):
             generated_subset(A, (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="value vector length 3 != "):
+            generated_subset(A, (0, 1, 1))
+        with pytest.raises(ValueError, match="value vector length 1 != "):
+            generated_subset(Subposet.empty(2), (1,))
+        with pytest.raises(ValueError, match="values must be 0 or 1, got 2"):
             generated_subset(A, (0, 2))
+        with pytest.raises(ValueError, match="values must be 0 or 1, got 2"):
+            generated_subset(A, (2, 0))
+        with pytest.raises(ValueError, match="values must be 0 or 1, got -1"):
+            generated_subset(A, (1, -1))
 
 
 class TestCoverPairs:

@@ -122,7 +122,6 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
         strategy,
         cache=cache,
         use_cache=not args.no_cache,
-        threads=args.threads,
         max_nodes=args.max_nodes,
         budget_seconds=args.budget_seconds,
     )
@@ -308,6 +307,8 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     if not floor <= args.n <= cap:
         raise PosetParseError(
             f"--theorem {args.theorem} supports {floor} <= n <= {cap}, got {args.n}")
+    if args.samples < 1:
+        raise PosetParseError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
     runner, title = _VERIFY_RUNNERS[args.theorem]
     lines = [f"verify {args.theorem}: {title} (n={args.n})"]

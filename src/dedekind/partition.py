@@ -38,6 +38,7 @@ from .poset import (
     COVER_MODES,
     Point,
     Subposet,
+    _comparable_table,
     _generated_bits,
     _mask_list,
     _updown_tables,
@@ -276,8 +277,6 @@ def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
 # ---------------------------------------------------------------------------
 # the counting engine
 
-_NUMPY_ANALYSIS_THRESHOLD = 48
-
 
 class _EngineRun:
     """Mutable per-call state: cache handles, budgets, node statistics."""
@@ -285,6 +284,11 @@ class _EngineRun:
     __slots__ = ("cache", "use_cache", "max_nodes", "deadline", "nodes")
 
     def __init__(self, cache: MemoCache | None, use_cache: bool, max_nodes, budget_seconds):
+        if max_nodes is not None and max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        # written so that NaN fails too
+        if budget_seconds is not None and not budget_seconds >= 0:
+            raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
         self.cache = cache
         self.use_cache = use_cache
         self.max_nodes = max_nodes
@@ -303,50 +307,24 @@ class _EngineRun:
             raise BudgetExceededError("engine time budget exceeded")
 
 
-def _comparability(masks: list[int]) -> list[int]:
-    """Adjacency bitsets of the comparability graph (indices into masks)."""
-    k = len(masks)
-    adj = [0] * k
-    if k >= _NUMPY_ANALYSIS_THRESHOLD:
-        arr = np.array(masks, dtype=np.int64)
-        sub = (arr[:, None] & ~arr[None, :]) == 0
-        comp = sub | sub.T
-        np.fill_diagonal(comp, False)
-        packed = np.packbits(comp, axis=1, bitorder="little")
-        for i in range(k):
-            adj[i] = int.from_bytes(packed[i].tobytes(), "little")
-        return adj
-    for i in range(k):
-        mi = masks[i]
-        bit_i = 1 << i
-        for j in range(i + 1, k):
-            # ascending numeric order: only masks[i] below masks[j] is possible
-            if mi & ~masks[j] == 0:
-                adj[i] |= 1 << j
-                adj[j] |= bit_i
-    return adj
-
-
-def _connected_components(adj: list[int]) -> list[int]:
-    """Index bitsets of connected components, ordered by smallest index."""
-    k = len(adj)
-    seen = 0
+def _components(bits: int, dim: int) -> list[int]:
+    """Point-space bitsets of the comparability components of the set bits
+    in E^dim, ordered by least point."""
+    near = _comparable_table(dim)
     comps = []
-    for i in range(k):
-        if seen >> i & 1:
-            continue
-        frontier = 1 << i
+    rest = bits
+    while rest:
+        frontier = rest & -rest
         comp = 0
         while frontier:
             comp |= frontier
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~comp
-        seen |= comp
+            while frontier:
+                low = frontier & -frontier
+                nxt |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & bits & ~comp
+        rest &= ~comp
         comps.append(comp)
     return comps
 
@@ -373,25 +351,22 @@ def _extract_bits(mask: int, selector: int) -> int:
     return out
 
 
-def _select_pivot(masks: list[int], adj: list[int]) -> int:
-    """Default pivot: a point of lower-median weight whose comparability
-    degree is maximal, ties broken by numeric value.  High degree shrinks
-    both branches; median weight keeps the branches balanced."""
-    k = len(masks)
-    by_weight = sorted(range(k), key=lambda i: (masks[i].bit_count(), masks[i]))
-    median_weight = masks[by_weight[(k - 1) // 2]].bit_count()
-    best = None
-    for i in range(k):
-        if masks[i].bit_count() != median_weight:
-            continue
-        key = (-adj[i].bit_count(), masks[i])
-        if best is None or key < best[0]:
-            best = (key, masks[i])
-    return best[1]
+def _select_pivot(masks: list[int], bits: int, dim: int) -> int:
+    """Default pivot of the set bits (masks lists its points): a point of
+    lower-median weight whose comparability degree is maximal, ties broken
+    by numeric value.  High degree shrinks both branches; median weight
+    keeps the branches balanced."""
+    near = _comparable_table(dim)
+    median_weight = sorted(m.bit_count() for m in masks)[(len(masks) - 1) // 2]
+    return min(
+        (m for m in masks if m.bit_count() == median_weight),
+        key=lambda m: (-(near[m] & bits).bit_count(), m),
+    )
 
 
-def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
-    k = len(masks)
+def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
+    """D of the point set bits of E^dim."""
+    k = bits.bit_count()
     if k == 0:
         return 1
     if k == 1:
@@ -400,17 +375,18 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
 
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
+    masks = _mask_list(bits)
     varying = _varying_coordinates(masks)
     vdim = varying.bit_count()
     if vdim < dim:
         # constant positions are identical in every mask, so order is kept
         masks = [_extract_bits(m, varying) for m in masks]
         dim = vdim
+        bits = 0
+        for m in masks:
+            bits |= 1 << m
 
     # the literal key: exact for this projected residual at any dimension
-    bits = 0
-    for m in masks:
-        bits |= 1 << m
     literal_key = None
     if run.use_cache:
         literal_key = (dim, bits)
@@ -418,31 +394,28 @@ def _count_masks(masks: list[int], dim: int, run: _EngineRun) -> int:
         if cached is not None:
             return cached
 
-    adj = _comparability(masks)
-    if not any(adj):
+    comps = _components(bits, dim)
+    if len(comps) == k:
         result = 1 << k  # antichain: every 0/1 assignment is monotone
+    elif len(comps) > 1:
+        result = 1
+        for comp in comps:
+            result *= _count_bits(comp, dim, run)
     else:
-        comps = _connected_components(adj)
-        if len(comps) > 1:
-            result = 1
-            for comp in comps:
-                comp_masks = [masks[i] for i in _mask_list(comp)]
-                result *= _count_masks(comp_masks, dim, run)
-        else:
-            key = None
-            if run.use_cache and dim <= CANONICAL_DIM_CAP:
-                key = _canonical_payload(masks, dim, True)
-                cached = run.cache.get(key)
-                if cached is not None:
-                    run.cache.put(literal_key, cached)
-                    return cached
-            pivot = _select_pivot(masks, adj)
-            up_t, down_t = _updown_tables(dim)
-            left = _count_masks(_mask_list(bits & ~up_t[pivot]), dim, run)
-            right = _count_masks(_mask_list(bits & ~down_t[pivot]), dim, run)
-            result = left + right
-            if key is not None:
-                run.cache.put(key, result)
+        key = None
+        if run.use_cache and dim <= CANONICAL_DIM_CAP:
+            key = _canonical_payload(masks, dim, True)
+            cached = run.cache.get(key)
+            if cached is not None:
+                run.cache.put(literal_key, cached)
+                return cached
+        pivot = _select_pivot(masks, bits, dim)
+        up_t, down_t = _updown_tables(dim)
+        result = _count_bits(bits & ~up_t[pivot], dim, run) + _count_bits(
+            bits & ~down_t[pivot], dim, run
+        )
+        if key is not None:
+            run.cache.put(key, result)
     if literal_key is not None:
         run.cache.put(literal_key, result)
     return result
@@ -480,7 +453,6 @@ def count_via_partition(
     *,
     cache: MemoCache | None = None,
     use_cache: bool = True,
-    threads: int = 1,
     max_nodes: int | None = None,
     budget_seconds: float | None = None,
 ) -> int:
@@ -491,14 +463,12 @@ def count_via_partition(
     "layer" pivots on the even-weight layer subset of a full cube, making
     every residual an antichain; a Subposet pivots on that explicit subset
     once, then continues with the default.  All strategies are exact and
-    agree; they differ only in work.  Counting runs on the calling thread:
-    threads is validated (it must be positive) and otherwise changes
-    neither the work nor the result.  Budgets, when given, bound engine
-    nodes and wall time and raise BudgetExceededError; engine nodes are the
-    recursion steps of the engine and the decisions of a pivot-set walk.
+    agree; they differ only in work.  Counting runs on the calling thread.
+    Budgets, when given, bound engine nodes and wall time and raise
+    BudgetExceededError; engine nodes are the recursion steps of the engine
+    and the decisions of a pivot-set walk.  A negative max_nodes, or a
+    budget_seconds that is negative or NaN, raises ValueError.
     """
-    if threads < 1:
-        raise ValueError("threads must be positive")
     run = _EngineRun(
         cache if cache is not None else MemoCache(), use_cache, max_nodes, budget_seconds
     )
@@ -513,12 +483,12 @@ def count_via_partition(
             raise ValueError("layer strategy requires dimension >= 2")
         A = construct_layer_subset(S.dim, "even")
     elif strategy == "single":
-        return _count_masks(list(S.masks), S.dim, run)
+        return _count_bits(S.bitset, S.dim, run)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     s_bits = S.bitset
     return sum(
-        _count_masks(_mask_list(s_bits & ~covered), S.dim, run)
+        _count_bits(s_bits & ~covered, S.dim, run)
         for _, covered in _pivot_maps(A, run)
     )
 
@@ -545,7 +515,6 @@ def corollary_split(
     a: Point,
     *,
     cache: MemoCache | None = None,
-    threads: int = 1,
     max_nodes: int | None = None,
     budget_seconds: float | None = None,
 ) -> tuple[int, int]:
@@ -558,7 +527,7 @@ def corollary_split(
     up_t, down_t = _updown_tables(n)
     full = (1 << (1 << n)) - 1
     shared = cache if cache is not None else MemoCache()
-    kwargs = dict(cache=shared, threads=threads, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    kwargs = dict(cache=shared, max_nodes=max_nodes, budget_seconds=budget_seconds)
     upper_removed = Subposet(n, tuple(_mask_list(full & ~up_t[a.mask])))
     lower_removed = Subposet(n, tuple(_mask_list(full & ~down_t[a.mask])))
     return (
@@ -640,13 +609,7 @@ def e2_condition_check(A: Subposet, n: int, mode: str | None = None) -> bool:
 
 
 def _comparability_components(S: Subposet) -> list[Subposet]:
-    masks = list(S.masks)
-    if not masks:
-        return []
-    comps = _connected_components(_comparability(masks))
-    return [
-        Subposet(S.dim, tuple(masks[i] for i in _mask_list(c))) for c in comps
-    ]
+    return [Subposet(S.dim, tuple(_mask_list(c))) for c in _components(S.bitset, S.dim)]
 
 
 def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:

@@ -446,6 +446,14 @@ def _updown_tables(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(up), tuple(down)
 
 
+@lru_cache(maxsize=None)
+def _comparable_table(dim: int) -> tuple[int, ...]:
+    """Per-point bitsets over point space: entry m is every point comparable
+    to mask m within the full cube, m included (up[m] | down[m])."""
+    up, down = _updown_tables(dim)
+    return tuple(u | d for u, d in zip(up, down))
+
+
 def _mask_list(bits: int) -> list[int]:
     """Set bit positions of a membership bitset, ascending."""
     out = []

@@ -114,6 +114,17 @@ class TestCount:
         assert code == 3
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize("budget", [
+        ("--max-nodes", "-1"),
+        ("--budget-seconds", "-1"),
+        ("--budget-seconds", "nan"),
+    ])
+    def test_bad_budget_is_input_error(self, capsys, budget):
+        for n in ("3", "0"):
+            code, _, err = run(capsys, "count", "--n", n, *budget)
+            assert code == 2
+            assert "must be >= 0" in err
+
     def test_no_cache_same_answer(self, capsys):
         assert run(capsys, "count", "--n", "4", "--no-cache")[1] == "168\n"
 
@@ -173,6 +184,15 @@ class TestVerify:
         assert run(capsys, "verify", "--theorem", "1", "--n", "0")[0] == 2
         assert run(capsys, "verify", "--theorem", "4", "--n", "1")[0] == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_must_be_positive(self, capsys, samples):
+        # no suite may pass on zero checks
+        code, out, err = run(capsys, "verify", "--theorem", "1", "--n", "3",
+                             "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "--samples must be >= 1" in err
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "corollary", "--n", "3",
                            "--format", "json")
@@ -223,6 +243,16 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--n", "3", "--max-nodes", "1")
         assert code == 3
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("budget", [
+        ("--max-nodes", "-1"),
+        ("--budget-seconds", "-1"),
+        ("--budget-seconds", "nan"),
+    ])
+    def test_bad_budget_is_input_error(self, capsys, budget):
+        code, _, err = run(capsys, "decompose", "--n", "3", *budget)
+        assert code == 2
+        assert "must be >= 0" in err
 
     def test_non_antichain_residual_reported(self, capsys, monkeypatch):
         # force a non-layer pivot through the whole stack: the walk must

@@ -94,6 +94,71 @@ def assert_orbits_match_exhaustive(rng, sets, fold: bool) -> None:
     assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
 
 
+# The index-space comparability path the point-space engine replaced, kept
+# as the reference for its components and pivots: adjacency over indices
+# into the ascending mask list, numpy from 48 points up.
+REFERENCE_NUMPY_THRESHOLD = 48
+
+
+def reference_comparability(masks: list[int]) -> list[int]:
+    k = len(masks)
+    adj = [0] * k
+    if k >= REFERENCE_NUMPY_THRESHOLD:
+        arr = np.array(masks, dtype=np.int64)
+        sub = (arr[:, None] & ~arr[None, :]) == 0
+        comp = sub | sub.T
+        np.fill_diagonal(comp, False)
+        packed = np.packbits(comp, axis=1, bitorder="little")
+        for i in range(k):
+            adj[i] = int.from_bytes(packed[i].tobytes(), "little")
+        return adj
+    for i in range(k):
+        mi = masks[i]
+        bit_i = 1 << i
+        for j in range(i + 1, k):
+            if mi & ~masks[j] == 0:
+                adj[i] |= 1 << j
+                adj[j] |= bit_i
+    return adj
+
+
+def reference_components(adj: list[int]) -> list[int]:
+    """Index bitsets of connected components, ordered by smallest index."""
+    seen = 0
+    comps = []
+    for i in range(len(adj)):
+        if seen >> i & 1:
+            continue
+        frontier = 1 << i
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                nxt |= adj[low.bit_length() - 1]
+                f ^= low
+            frontier = nxt & ~comp
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def reference_pivot(masks: list[int], adj: list[int]) -> int:
+    k = len(masks)
+    by_weight = sorted(range(k), key=lambda i: (masks[i].bit_count(), masks[i]))
+    median_weight = masks[by_weight[(k - 1) // 2]].bit_count()
+    best = None
+    for i in range(k):
+        if masks[i].bit_count() != median_weight:
+            continue
+        key = (-adj[i].bit_count(), masks[i])
+        if best is None or key < best[0]:
+            best = (key, masks[i])
+    return best[1]
+
+
 class TestEngine:
     def test_base_cases(self):
         assert count_via_partition(Subposet.empty(3)) == 1
@@ -130,8 +195,6 @@ class TestEngine:
         with pytest.raises(ValueError):
             count_via_partition(Subposet.cube(2), "zigzag")
         with pytest.raises(ValueError):
-            count_via_partition(Subposet.cube(2), threads=0)
-        with pytest.raises(ValueError):
             count_via_partition(Subposet(2, (0,)), Subposet(2, (3,)))  # pivot not inside
 
     def test_cache_on_off_identical(self, rng):
@@ -163,12 +226,6 @@ class TestEngine:
                 assert count_via_partition(S, cache=cache) == count_monotone_oracle(S)
                 assert len(cache) <= maxsize
 
-    def test_thread_count_does_not_change_result(self):
-        for n in (3, 4, 5):
-            assert count_via_partition(
-                Subposet.cube(n), threads=2
-            ) == count_via_partition(Subposet.cube(n), threads=1)
-
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
             count_via_partition(Subposet.cube(4), max_nodes=3)
@@ -176,6 +233,28 @@ class TestEngine:
     def test_time_budget(self):
         with pytest.raises(BudgetExceededError):
             count_via_partition(Subposet.cube(4), budget_seconds=0.0)
+
+    @pytest.mark.parametrize("budget", [
+        {"max_nodes": -1},
+        {"budget_seconds": -1.0},
+        {"budget_seconds": float("nan")},
+    ])
+    def test_bad_budget_rejected(self, budget):
+        # rejected before any work, even where the count needs no engine node
+        for strategy in ("single", "layer", Subposet.cube(3)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                count_via_partition(Subposet.cube(3), strategy, **budget)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            count_via_partition(Subposet.empty(2), **budget)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            corollary_split(3, Point(1, 3), **budget)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            decompose_power_of_two(3, "even", **budget)
+
+    def test_zero_budget_still_runs_out(self):
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(3), max_nodes=0)
+        assert count_via_partition(Subposet(3, (5,)), max_nodes=0) == 2
 
     def test_explicit_pivot_walk_spends_node_budget(self):
         # pivoting on the whole cube leaves residuals of at most one point,
@@ -186,6 +265,41 @@ class TestEngine:
     def test_explicit_pivot_walk_spends_time_budget(self):
         with pytest.raises(BudgetExceededError):
             count_via_partition(Subposet.cube(5), Subposet.cube(5), budget_seconds=0.0)
+
+    def test_components_and_pivot_match_index_space_reference(self, rng):
+        sizes = set()
+        for n in range(2, 8):
+            sets = [random_subposet(rng, n) for _ in range(40)]
+            sets += [random_subposet(rng, n, density=0.15) for _ in range(20)]
+            if n >= 6:
+                sets += [cube_residual(rng, n) for _ in range(20)]
+            for S in sets:
+                masks = list(S.masks)
+                sizes.add(len(masks) >= REFERENCE_NUMPY_THRESHOLD)
+                adj = reference_comparability(masks)
+                expected = [frozenset(masks[i] for i in range(len(masks)) if c >> i & 1)
+                            for c in reference_components(adj)]
+                got = partition_module._components(S.bitset, n)
+                assert [frozenset(m for m in masks if c >> m & 1) for c in got] == expected
+                assert sum(got) == S.bitset
+                if masks:
+                    assert partition_module._select_pivot(masks, S.bitset, n) == reference_pivot(
+                        masks, adj
+                    )
+        # both branches of the reference ran
+        assert sizes == {False, True}
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_hypothesis(self, dim, data):
+        # any subset of E^5; on E^6 at most 32 points, so the oracle's DFS
+        # stays fast.  The size is drawn first so that large sets are as
+        # likely as small ones.
+        size = data.draw(st.integers(0, 32))
+        order = data.draw(st.permutations(range(1 << dim)))
+        S = Subposet(dim, tuple(sorted(order[:size])))
+        assert count_via_partition(S) == count_monotone_oracle(S)
 
     def test_pivot_walk_matches_partition_terms(self, rng):
         # the engine's pivot walk against the enumeration oracle's term list,

@@ -421,23 +421,132 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
     return result
 
 
-def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
-    """Walk the monotone maps on A depth first, 0-branch first.  For each map
-    f yield the point-space bitsets (ones, covered): ones is the region f
-    forces to 1, so f(a) = 1 iff bit a of ones is set, and covered is the
-    whole region f forces.  Every decision spends one engine node, so the
-    run's budgets bound the walk; an empty A yields (0, 0) once."""
+def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[int]:
+    """Walk the monotone maps on an explicit pivot subset A depth first,
+    0-branch first, and yield for each map the point-space bitset of the
+    region it forces.  Every decision spends one engine node, so the run's
+    budgets bound the walk; an empty A yields 0 once."""
     up_t, down_t = _updown_tables(A.dim)
-    stack = [(A.bitset, 0, 0)]
+    stack = [(A.bitset, 0)]
     while stack:
-        undecided, ones, covered = stack.pop()
+        undecided, covered = stack.pop()
         while undecided:
             run.tick()
             a = (undecided & -undecided).bit_length() - 1
-            stack.append((undecided & ~up_t[a], ones | up_t[a], covered | up_t[a]))
+            stack.append((undecided & ~up_t[a], covered | up_t[a]))
             undecided &= ~down_t[a]
             covered |= down_t[a]
-        yield ones, covered
+        yield covered
+
+
+def _reach(undecided: int, near: tuple[int, ...]) -> int:
+    """Points comparable to some member of the point-space bitset undecided."""
+    reach = 0
+    while undecided:
+        low = undecided & -undecided
+        reach |= near[low.bit_length() - 1]
+        undecided ^= low
+    return reach
+
+
+def _residual_sizes(A: Subposet, run: _EngineRun) -> dict[int, int]:
+    """The residual-size polynomial of a pivot subset A of the full cube, as
+    {k: c}: c monotone maps f on A leave exactly k points of the cube outside
+    the region f forces.
+
+    The pivots are decided lowest first, as in _pivot_maps, but a state is
+    memoized as (U, live): U is the set of undecided pivots and live the free
+    non-pivot points within reach of U, i.e. comparable to one of its
+    members.  A free point out of reach can never be covered again, so it
+    only shifts the polynomial.  Polynomials are packed into one int, |A| + 1
+    bits a coefficient; a coefficient counts monotone maps on a subset of A,
+    of which there are at most 2^|A|.  The walk keeps an explicit stack, so
+    its depth (up to |A| decisions) is not bounded by the recursion limit,
+    and every memo miss spends one engine node."""
+    up_t, down_t = _updown_tables(A.dim)
+    near = _comparable_table(A.dim)
+    width = len(A) + 1
+    free = ((1 << (1 << A.dim)) - 1) & ~A.bitset
+    reach = _reach(A.bitset, near)
+    root = (A.bitset, free & reach)
+    # U -> (child U, points kept live, points dropped) for the 1- and 0-branch
+    branches: dict[int, list[tuple[int, int, int]]] = {}
+    memo = {(0, 0): 1}
+    stack: list = [(root, None)]
+    while stack:
+        key, kids = stack.pop()
+        if kids is not None:
+            (one, one_shift), (zero, zero_shift) = kids
+            memo[key] = (memo[one] << one_shift) + (memo[zero] << zero_shift)
+            continue
+        if key in memo:
+            continue
+        run.tick()
+        undecided, live = key
+        steps = branches.get(undecided)
+        if steps is None:
+            a = (undecided & -undecided).bit_length() - 1
+            steps = []
+            for cover in (up_t[a], down_t[a]):
+                rest = undecided & ~cover
+                rest_reach = _reach(rest, near)
+                steps.append((rest, rest_reach & ~cover, ~(rest_reach | cover)))
+            branches[undecided] = steps
+        kids = tuple(
+            ((rest, live & keep), (live & drop).bit_count() * width)
+            for rest, keep, drop in steps
+        )
+        stack.append((key, kids))
+        # the 0-branch goes on top, so it is walked first
+        stack.extend((kid, None) for kid, _ in kids if kid not in memo)
+    packed = memo[root]
+    k = (free & ~reach).bit_count()
+    counts = {}
+    coefficient = (1 << width) - 1
+    while packed:
+        if packed & coefficient:
+            counts[k] = packed & coefficient
+        packed >>= width
+        k += 1
+    return counts
+
+
+def _free_edge(A: Subposet) -> tuple[int, int] | None:
+    """The least cube edge (m, m | e_i), by m and then i, with both ends
+    outside A, or None.  Some residual of pivot A holds a comparable pair
+    exactly when such an edge exists: the map f(a) = [a >= m] leaves both its
+    ends free, and a free comparable pair p < q leaves every point between
+    them free, the edges out of p toward q among them."""
+    full = (1 << A.dim) - 1
+    down_t = _updown_tables(A.dim)[1]
+    free = ((1 << (1 << A.dim)) - 1) & ~A.bitset
+    edges = []
+    for i in range(A.dim):
+        # free points with coordinate i clear whose neighbour m | e_i is free
+        lows = free & down_t[full ^ 1 << i] & (free >> (1 << i))
+        if lows:
+            m = (lows & -lows).bit_length() - 1
+            edges.append((m, m | 1 << i))
+    return min(edges, default=None)
+
+
+def _layer_polynomial(A: Subposet, parity: str, run: _EngineRun) -> TwoAdicPolynomial:
+    """The residual-size polynomial of the layer pivot A, read in powers of
+    two, after checking that every residual is an antichain (one of k points
+    counts 2^k); a comparable pair falsifies the layer-pivot guarantee and
+    raises FalsificationError naming the pair and a map that leaves it
+    free."""
+    edge = _free_edge(A)
+    if edge is not None:
+        m, y = edge
+        n = A.dim
+        pivot_text = ", ".join(f"{Point(a, n)}={int(a & m == m)}" for a in A.masks)
+        raise FalsificationError(
+            f"residual of the layer pivot is not an antichain: "
+            f"{Point(m, n)} below {Point(y, n)} "
+            f"(n={n}, parity={parity}, pivot values {pivot_text})"
+        )
+    return TwoAdicPolynomial.from_counts(_residual_sizes(A, run))
 
 
 def _validate_subset(A: Subposet, S: Subposet) -> None:
@@ -461,12 +570,15 @@ def count_via_partition(
     strategy selects the top-level pivot: "single" (default) recurses on one
     median-weight point of maximal comparability degree at every level;
     "layer" pivots on the even-weight layer subset of a full cube, making
-    every residual an antichain; a Subposet pivots on that explicit subset
-    once, then continues with the default.  All strategies are exact and
-    agree; they differ only in work.  Counting runs on the calling thread.
-    Budgets, when given, bound engine nodes and wall time and raise
-    BudgetExceededError; engine nodes are the recursion steps of the engine
-    and the decisions of a pivot-set walk.  A negative max_nodes, or a
+    every residual an antichain, and returns the value at 2 of the
+    residual-size polynomial decompose_power_of_two builds (the antichain
+    check runs once, before the walk, and cache is left unused); a Subposet
+    pivots on that explicit subset once, then continues with the default.
+    All strategies are exact and agree; they differ only in work.  Counting
+    runs on the calling thread.  Budgets, when given, bound engine nodes and
+    wall time and raise BudgetExceededError; engine nodes are the recursion
+    steps of the engine, the decisions of an explicit pivot's walk, and the
+    distinct states of the layer walk.  A negative max_nodes, or a
     budget_seconds that is negative or NaN, raises ValueError.
     """
     run = _EngineRun(
@@ -475,22 +587,21 @@ def count_via_partition(
 
     if isinstance(strategy, Subposet):
         _validate_subset(strategy, S)
-        A = strategy
-    elif strategy == "layer":
+        s_bits = S.bitset
+        return sum(
+            _count_bits(s_bits & ~covered, S.dim, run)
+            for covered in _pivot_maps(strategy, run)
+        )
+    if strategy == "layer":
         if S != Subposet.cube(S.dim):
             raise ValueError("layer strategy requires the full cube")
         if S.dim < 2:
             raise ValueError("layer strategy requires dimension >= 2")
         A = construct_layer_subset(S.dim, "even")
-    elif strategy == "single":
+        return _layer_polynomial(A, "even", run).value()
+    if strategy == "single":
         return _count_bits(S.bitset, S.dim, run)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    s_bits = S.bitset
-    return sum(
-        _count_bits(s_bits & ~covered, S.dim, run)
-        for _, covered in _pivot_maps(A, run)
-    )
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
@@ -762,32 +873,13 @@ def decompose_power_of_two(
     some size k and contributes 2^k, so the coefficient of 2^k counts the
     pivot maps leaving exactly k points free.
 
-    Every residual is verified to be an antichain during the walk; a
-    comparable pair would falsify the layer-pivot guarantee and raises
-    FalsificationError.
+    The residuals are checked to be antichains before the walk: one holds a
+    comparable pair exactly when some cube edge has both ends outside the
+    pivot, and such an edge would falsify the layer-pivot guarantee and
+    raises FalsificationError.  The pivot maps are not walked one by one:
+    a memoized walk over (undecided pivots, coverable free points) states
+    builds the polynomial, and each state spends one engine node.
     """
     A = construct_layer_subset(n, parity)
-    up_t = _updown_tables(n)[0]
-    full_bits = (1 << (1 << n)) - 1
-    coeffs = [0] * ((1 << (n - 1)) + 1)
     run = _EngineRun(None, False, max_nodes, budget_seconds)
-    for ones, covered in _pivot_maps(A, run):
-        residual = full_bits & ~covered
-        # ascending m, and the lowest point above it: the first comparable
-        # pair in (m, y) order
-        rest = residual
-        while rest:
-            low = rest & -rest
-            m = low.bit_length() - 1
-            above = residual & up_t[m] & ~low
-            if above:
-                y = (above & -above).bit_length() - 1
-                pivot_text = ", ".join(f"{Point(a, n)}={ones >> a & 1}" for a in A.masks)
-                raise FalsificationError(
-                    f"residual of the layer pivot is not an antichain: "
-                    f"{Point(m, n)} below {Point(y, n)} "
-                    f"(n={n}, parity={parity}, pivot values {pivot_text})"
-                )
-            rest ^= low
-        coeffs[residual.bit_count()] += 1
-    return TwoAdicPolynomial.from_counts({j: c for j, c in enumerate(coeffs) if c})
+    return _layer_polynomial(A, parity, run)

@@ -135,11 +135,12 @@ class Subposet:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         top = 1 << self.dim
-        normalized = tuple(sorted(set(self.masks)))
-        for m in normalized:
+        # checked before sorting, so that a mask that is no int raises this
+        # ValueError rather than a TypeError from the comparison
+        for m in self.masks:
             if not isinstance(m, int) or not 0 <= m < top:
                 raise ValueError(f"mask {m!r} out of range for dimension {self.dim}")
-        object.__setattr__(self, "masks", normalized)
+        object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "Subposet":

@@ -69,6 +69,17 @@ class TestCount:
         assert code == 0
         assert out == "20\n"
 
+    def test_layer_strategy_leaves_the_memo_table_unused(self, capsys):
+        # the layer count is the residual-size polynomial at 2: no residual
+        # is counted by the engine, so the cache echo reads 0/0
+        code, out, _ = run(
+            capsys, "count", "--n", "4", "--strategy", "layer", "--format", "json"
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert report["result"] == "168"
+        assert report["cache"] == {"hits": 0, "misses": 0}
+
     def test_layer_strategy_needs_full_cube(self, capsys, tmp_path):
         path = write_poset(tmp_path, "notcube.txt", Subposet(2, (0, 1)))
         code, _, err = run(capsys, "count", "--poset", path, "--strategy", "layer")

@@ -2,7 +2,10 @@
 predicates and oracles, the two pivot-set constructions, and the power-of-two
 decomposition."""
 
+import gc
 import itertools
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,6 +42,8 @@ from dedekind.partition import (
 from dedekind.poset import (
     Point,
     Subposet,
+    _generated_bits,
+    _updown_tables,
     cover_preserving_isomorphic,
     find_v3,
     generated_subset,
@@ -157,6 +162,60 @@ def reference_pivot(masks: list[int], adj: list[int]) -> int:
         if best is None or key < best[0]:
             best = (key, masks[i])
     return best[1]
+
+
+# The leaf-by-leaf layer walk the memoized residual-size walk replaced, kept
+# as its reference: every monotone map on the pivot subset A, depth first,
+# 0-branch first, with the per-leaf antichain check decompose_power_of_two
+# made on each residual.
+
+
+def reference_leaf_residuals(A: Subposet):
+    """Yield the residual (the cube minus the forced region) of every
+    monotone map on A as a point-space bitset."""
+    up_t, down_t = _updown_tables(A.dim)
+    full = (1 << (1 << A.dim)) - 1
+    stack = [(A.bitset, 0)]
+    while stack:
+        undecided, covered = stack.pop()
+        while undecided:
+            a = (undecided & -undecided).bit_length() - 1
+            stack.append((undecided & ~up_t[a], covered | up_t[a]))
+            undecided &= ~down_t[a]
+            covered |= down_t[a]
+        yield full & ~covered
+
+
+def reference_comparable_pair(residual: int, dim: int):
+    """The first comparable pair (m, y) of a residual in (m, y) order, or
+    None when the residual is an antichain."""
+    up_t = _updown_tables(dim)[0]
+    rest = residual
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        above = residual & up_t[m] & ~low
+        if above:
+            return m, (above & -above).bit_length() - 1
+        rest ^= low
+    return None
+
+
+def pivot_pool(rng) -> list[Subposet]:
+    """Every subset of E^2 and E^3, and seeded random subsets of E^4 and
+    E^5."""
+    pool = [
+        Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+        for n in (2, 3)
+        for bits in range(1 << (1 << n))
+    ]
+    pool += [random_subposet(rng, 4) for _ in range(60)]
+    pool += [random_subposet(rng, 5, density=rng.uniform(0.3, 0.7)) for _ in range(20)]
+    return pool
+
+
+def fresh_run():
+    return partition_module._EngineRun(None, False, None, None)
 
 
 class TestEngine:
@@ -845,6 +904,95 @@ class TestPowerOfTwoDecomposition:
         )
         with pytest.raises(FalsificationError, match="not an antichain"):
             decompose_power_of_two(2, "even")
+
+    def test_memoized_walk_matches_leaf_walk_on_layers(self):
+        for n in range(2, 7):
+            for parity in ("even", "odd"):
+                A = construct_layer_subset(n, parity)
+                sizes = Counter(r.bit_count() for r in reference_leaf_residuals(A))
+                assert decompose_power_of_two(n, parity).as_dict() == dict(sizes)
+
+    def test_size_polynomial_matches_leaf_sizes_on_any_pivot(self, rng):
+        for A in pivot_pool(rng):
+            sizes = Counter(r.bit_count() for r in reference_leaf_residuals(A))
+            assert partition_module._residual_sizes(A, fresh_run()) == dict(sizes)
+
+    def test_edge_check_iff_some_leaf_residual_is_comparable(self, rng):
+        pool = pivot_pool(rng)
+        pool += [construct_layer_subset(n, p) for n in range(2, 6) for p in ("even", "odd")]
+        seen = set()
+        for A in pool:
+            comparable = any(
+                reference_comparable_pair(r, A.dim) is not None
+                for r in reference_leaf_residuals(A)
+            )
+            assert (partition_module._free_edge(A) is not None) == comparable
+            seen.add(comparable)
+        assert seen == {False, True}
+
+    def test_named_map_leaves_its_pair_free(self, rng):
+        pattern = re.compile(
+            r"not an antichain: ([01]+) below ([01]+) "
+            r"\(n=(\d+), parity=odd, pivot values (.*)\)$"
+        )
+        for A in pivot_pool(rng):
+            if partition_module._free_edge(A) is None:
+                continue
+            with pytest.raises(FalsificationError) as info:
+                partition_module._layer_polynomial(A, "odd", fresh_run())
+            low, high, n, pivot_text = pattern.search(str(info.value)).groups()
+            m, y = Point.from_text(low), Point.from_text(high)
+            assert int(n) == A.dim == m.dim
+            # the pair is a cube edge with both ends outside A
+            assert y.mask & ~m.mask and (y.mask ^ m.mask).bit_count() == 1
+            assert m.mask not in A.masks and y.mask not in A.masks
+            outside = set(range(1 << A.dim)) - set(A.masks)
+            least = min(
+                (p, p | 1 << i)
+                for p in outside
+                for i in range(A.dim)
+                if not p >> i & 1 and p | 1 << i in outside
+            )
+            assert (m.mask, y.mask) == least
+            named = [item.split("=") for item in pivot_text.split(", ")] if A.masks else []
+            assert [Point.from_text(p).mask for p, _ in named] == list(A.masks)
+            values = [int(v) for _, v in named]
+            for (a, va), (b, vb) in itertools.combinations(zip(A.masks, values), 2):
+                if a & ~b == 0:
+                    assert va <= vb  # the named map is monotone
+            forced = _generated_bits(A, values)
+            assert not forced >> m.mask & 1 and not forced >> y.mask & 1
+
+    def test_nodes_count_distinct_walk_states(self):
+        # 9,661 distinct (undecided, live) states on the even layer of E^6,
+        # against 89,128 pivot maps; each state spends one node
+        D6 = PINNED_DEDEKIND[6]
+        assert decompose_power_of_two(6, "even", max_nodes=9661).value() == D6
+        with pytest.raises(BudgetExceededError):
+            decompose_power_of_two(6, "even", max_nodes=9660)
+        assert count_via_partition(Subposet.cube(6), "layer", max_nodes=9661) == D6
+
+    def test_deep_walks_keep_the_budget_contract(self):
+        # the walk is |A| = 1024 decisions deep here: it must run out of its
+        # node budget, not of Python's recursion limit
+        with pytest.raises(BudgetExceededError):
+            decompose_power_of_two(11, "even", max_nodes=10_000)
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(11), "layer", max_nodes=10_000)
+
+    def test_walk_memo_released_on_return(self):
+        decompose_power_of_two(6, "odd")  # builds the cached tables
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            decompose_power_of_two(6, "odd")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # freed by reference counting alone, with no collector pass
+        assert retained < 500_000
 
     def test_budgets(self):
         with pytest.raises(BudgetExceededError):

@@ -125,6 +125,15 @@ class TestSubposet:
         assert Point(0, 0) not in Subposet.empty(0)
         assert Point(0, 0) in Subposet.cube(0)
 
+    def test_validation(self):
+        for masks in ((4,), (-1,), (1, 2.0), (1, "a"), ("a", 1), (1, [2])):
+            # a mask of another type is rejected like one out of range,
+            # not by a TypeError from sorting
+            with pytest.raises(ValueError, match="out of range for dimension 2"):
+                Subposet(2, masks)
+        with pytest.raises(ValueError):
+            Subposet(13, ())
+
     def test_cube_and_empty(self):
         assert len(Subposet.cube(3)) == 8
         assert len(Subposet.empty(3)) == 0

@@ -355,8 +355,8 @@ def _cmd_check_complete(args) -> tuple[dict, list[str], int]:
         raise PosetParseError("check-complete needs dimension >= 1")
     S = Subposet.cube(n)
     mode = args.mode
-    complete = is_complete_partition(A, S, mode)
     witness = find_v3(S.minus(A), mode)
+    complete = witness is None
     classification = minimality_check(A, n)
     lines = [
         f"subset of E^{n}, size {len(A)}",

@@ -719,10 +719,6 @@ def e2_condition_check(A: Subposet, n: int, mode: str | None = None) -> bool:
     return True
 
 
-def _comparability_components(S: Subposet) -> list[Subposet]:
-    return [Subposet(S.dim, tuple(_mask_list(c))) for c in _components(S.bitset, S.dim)]
-
-
 def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     """Decide completeness from the definition: every term of the partition
     must count as a product of full-cube counts, realized by the residual's
@@ -742,7 +738,8 @@ def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     _validate_subset(A, S)
     limit = _varying_coordinates(S.masks).bit_count()
     for term in partition_terms(S, A):
-        for comp in _comparability_components(term.residual):
+        for c in _components(term.residual.bitset, A.dim):
+            comp = Subposet(A.dim, tuple(_mask_list(c)))
             k = len(comp).bit_length() - 1
             if len(comp) != 1 << k or k >= limit:
                 return False

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PosetParseError
@@ -182,8 +181,8 @@ class Subposet:
     def minus(self, other: "Subposet") -> "Subposet":
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        drop = set(other.masks)
-        return Subposet(self.dim, tuple(m for m in self.masks if m not in drop))
+        drop = other.bitset
+        return Subposet(self.dim, tuple(m for m in self.masks if not drop >> m & 1))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -231,39 +230,27 @@ def _check_dim_parse(dim: int) -> None:
         raise PosetParseError(f"dimension must lie in [0, {MAX_DIM}], got {dim}")
 
 
-def _closure_bits(base: int, free: int) -> int:
-    """Point-space bitset of base | s over every submask s of free."""
-    bits = 0
-    sub = free
-    while True:
-        bits |= 1 << (base | sub)
-        if sub == 0:
-            return bits
-        sub = (sub - 1) & free
-
-
 def upper_set(a: Point) -> Subposet:
     """All points of the cube above a (inclusive); size 2^(n - weight)."""
-    free = ((1 << a.dim) - 1) & ~a.mask
-    return Subposet(a.dim, tuple(_mask_list(_closure_bits(a.mask, free))))
+    return Subposet(a.dim, tuple(_mask_list(_updown_tables(a.dim)[0][a.mask])))
 
 
 def lower_set(a: Point) -> Subposet:
     """All points of the cube below a (inclusive); size 2^weight."""
-    return Subposet(a.dim, tuple(_mask_list(_closure_bits(0, a.mask))))
+    return Subposet(a.dim, tuple(_mask_list(_updown_tables(a.dim)[1][a.mask])))
 
 
 def _generated_bits(A: Subposet, y: Sequence[int]) -> int:
     """Point-space bitset of the region generated_subset(A, y) covers."""
     if len(y) != len(A.masks):
         raise ValueError(f"value vector length {len(y)} != |A| = {len(A.masks)}")
-    full = (1 << A.dim) - 1
+    up_t, down_t = _updown_tables(A.dim)
     bits = 0
     for m, v in zip(A.masks, y):
         if v == 1:
-            bits |= _closure_bits(m, full & ~m)
+            bits |= up_t[m]
         elif v == 0:
-            bits |= _closure_bits(0, m)
+            bits |= down_t[m]
         else:
             raise ValueError(f"values must be 0 or 1, got {v!r}")
     return bits
@@ -276,19 +263,6 @@ def generated_subset(A: Subposet, y: Sequence[int]) -> Subposet:
     match its length.  The region is built as one point-space bitset.
     """
     return Subposet(A.dim, tuple(_mask_list(_generated_bits(A, y))))
-
-
-def ambient_cover_pairs(S: Subposet) -> list[CoverPair]:
-    """Cover edges of the cube with both ends in S, ascending (lower, upper)."""
-    pairs = []
-    masks = S.masks
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & ~b == 0 and (a ^ b).bit_count() == 1:
-                pairs.append(
-                    CoverPair(Point(a, S.dim), Point(b, S.dim), "ambient")
-                )
-    return pairs
 
 
 def induced_cover_pairs(S: Subposet) -> list[CoverPair]:
@@ -314,16 +288,26 @@ def induced_cover_pairs(S: Subposet) -> list[CoverPair]:
     return pairs
 
 
-def _cover_adjacency(S: Subposet, mode: str) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    if mode not in COVER_MODES:
-        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
-    pairs = ambient_cover_pairs(S) if mode == "ambient" else induced_cover_pairs(S)
-    up: dict[int, list[int]] = {}
-    down: dict[int, list[int]] = {}
-    for cp in pairs:
-        up.setdefault(cp.lower.mask, []).append(cp.upper.mask)
-        down.setdefault(cp.upper.mask, []).append(cp.lower.mask)
-    return up, down
+def _cover_arms(bits: int, apex: int, dim: int, mode: str) -> tuple[int, int]:
+    """Point-space bitsets of the members of bits that cover apex from above
+    and from below under the selected cover reading."""
+    up_t, down_t = _updown_tables(dim)
+    if mode == "ambient":
+        near = 0
+        for i in range(dim):
+            near |= 1 << (apex ^ 1 << i)
+        near &= bits
+        return near & up_t[apex], near & down_t[apex]
+    # induced: the minimal members strictly above apex (dually below), i.e.
+    # that set minus every member's strict up-set (strict down-set)
+    arms = []
+    for table in (up_t, down_t):
+        strict = (table[apex] ^ 1 << apex) & bits
+        cover = strict
+        for m in _mask_list(strict):
+            cover &= ~(table[m] ^ 1 << m)
+        arms.append(cover)
+    return arms[0], arms[1]
 
 
 def find_v3(S: Subposet, mode: str = "ambient") -> V3Witness | None:
@@ -333,15 +317,13 @@ def find_v3(S: Subposet, mode: str = "ambient") -> V3Witness | None:
     lexicographically smallest by (apex, arms, orientation), all by numeric
     point value.  Returns None when no V-shape exists.
     """
-    up, down = _cover_adjacency(S, mode)
+    if mode not in COVER_MODES:
+        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
     for apex in S.masks:
-        candidates = []
-        ups = sorted(up.get(apex, ()))
-        if len(ups) >= 2:
-            candidates.append((ups[0], ups[1], "up"))
-        downs = sorted(down.get(apex, ()))
-        if len(downs) >= 2:
-            candidates.append((downs[0], downs[1], "down"))
+        ups, downs = _cover_arms(S.bitset, apex, S.dim, mode)
+        candidates = [(*_mask_list(arms)[:2], orientation)
+                      for arms, orientation in ((ups, "up"), (downs, "down"))
+                      if arms & (arms - 1)]
         if not candidates:
             continue
         lo, hi, orientation = min(candidates)

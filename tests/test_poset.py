@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from dedekind.errors import PosetParseError
 from dedekind.poset import (
+    COVER_MODES,
     CoverPair,
     Point,
     Subposet,
     V3Witness,
+    _cover_arms,
     cover_preserving_isomorphic,
     covers,
     find_v3,
@@ -42,6 +44,47 @@ def union_reference(A: Subposet, y) -> Subposet:
         p = Point(m, A.dim)
         masks.update((upper_set(p) if v else lower_set(p)).masks)
     return Subposet(A.dim, tuple(masks))
+
+
+def pair_list_find_v3(S: Subposet, mode: str) -> V3Witness | None:
+    """The V-search find_v3 replaced: build the cover pairs of S as a list,
+    index them by end point, then take the first apex with two arms."""
+    if mode == "ambient":
+        pairs = [CoverPair(Point(a, S.dim), Point(b, S.dim), "ambient")
+                 for i, a in enumerate(S.masks) for b in S.masks[i + 1:]
+                 if a & ~b == 0 and (a ^ b).bit_count() == 1]
+    else:
+        pairs = induced_cover_pairs(S)
+    up: dict[int, list[int]] = {}
+    down: dict[int, list[int]] = {}
+    for cp in pairs:
+        up.setdefault(cp.lower.mask, []).append(cp.upper.mask)
+        down.setdefault(cp.upper.mask, []).append(cp.lower.mask)
+    for apex in S.masks:
+        candidates = []
+        ups = sorted(up.get(apex, ()))
+        if len(ups) >= 2:
+            candidates.append((ups[0], ups[1], "up"))
+        downs = sorted(down.get(apex, ()))
+        if len(downs) >= 2:
+            candidates.append((downs[0], downs[1], "down"))
+        if candidates:
+            lo, hi, orientation = min(candidates)
+            return V3Witness(Point(apex, S.dim),
+                             (Point(lo, S.dim), Point(hi, S.dim)), orientation)
+    return None
+
+
+def v3_differential_pool() -> list[Subposet]:
+    """Every subset of E^2 and E^3, then seeded random subsets of E^4-E^8."""
+    pool = [Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+            for n in (2, 3) for bits in range(1 << (1 << n))]
+    rng = random.Random(8)
+    for n in range(4, 9):
+        for _ in range(40 if n < 7 else 12):
+            density = rng.uniform(0.05, 0.6)
+            pool.append(Subposet(n, tuple(m for m in range(1 << n) if rng.random() < density)))
+    return pool
 
 
 class TestPoint:
@@ -173,13 +216,16 @@ class TestSetConstructions:
         assert upper_set(P("01")).masks == (2, 3)  # {01, 11}
 
     def test_upper_lower_match_order(self):
-        for n in range(5):
-            for m in range(1 << n):
-                a = Point(m, n)
-                above = tuple(b for b in range(1 << n) if leq(a, Point(b, n)))
-                below = tuple(b for b in range(1 << n) if leq(Point(b, n), a))
-                assert upper_set(a).masks == above
-                assert lower_set(a).masks == below
+        rng = random.Random(12)
+        points = [Point(m, n) for n in range(8) for m in range(1 << n)]
+        points += [Point(rng.randrange(1 << 12), 12) for _ in range(8)]
+        points += [Point(0, 12), Point((1 << 12) - 1, 12)]
+        for a in points:
+            n = a.dim
+            above = tuple(b for b in range(1 << n) if leq(a, Point(b, n)))
+            below = tuple(b for b in range(1 << n) if leq(Point(b, n), a))
+            assert upper_set(a).masks == above
+            assert lower_set(a).masks == below
 
     def test_sizes(self):
         for n in range(1, 5):
@@ -210,6 +256,20 @@ class TestSetConstructions:
                 A = Subposet(n, tuple(m for m in range(1 << n) if rng.random() < density))
                 y = tuple(rng.randrange(2) for _ in A.masks)
                 assert generated_subset(A, y) == union_reference(A, y)
+
+    def test_generated_subset_matches_order(self):
+        # anchored to leq alone, since upper_set and lower_set read the same
+        # tables as generated_subset
+        rng = random.Random(9)
+        for n in range(1, 7):
+            for _ in range(12):
+                A = Subposet(n, tuple(m for m in range(1 << n) if rng.random() < 0.3))
+                y = tuple(rng.randrange(2) for _ in A.masks)
+                region = tuple(
+                    b for b in range(1 << n)
+                    if any(leq(p, Point(b, n)) if v else leq(Point(b, n), p)
+                           for p, v in zip(A.points, y)))
+                assert generated_subset(A, y).masks == region
 
     def test_generated_subset_validation(self):
         A = S(2, "00", "11")
@@ -305,6 +365,31 @@ class TestFindV3:
             for v in (up_v, down_v)
         )
         assert (find_v3(sub, "induced") is not None) == exists
+
+    def test_matches_pair_list_search(self):
+        for sub in v3_differential_pool():
+            for mode in COVER_MODES:
+                assert find_v3(sub, mode) == pair_list_find_v3(sub, mode), (sub, mode)
+
+    def test_cover_arms_match_cover_pairs(self):
+        for sub in v3_differential_pool():
+            up = dict.fromkeys(sub.masks, 0)
+            down = dict.fromkeys(sub.masks, 0)
+            for cp in induced_cover_pairs(sub):
+                up[cp.lower.mask] |= 1 << cp.upper.mask
+                down[cp.upper.mask] |= 1 << cp.lower.mask
+            for apex in sub.masks:
+                assert _cover_arms(sub.bitset, apex, sub.dim, "induced") == (
+                    up[apex], down[apex])
+                ups, downs = _cover_arms(sub.bitset, apex, sub.dim, "ambient")
+                p = Point(apex, sub.dim)
+                assert ups == sum(1 << q.mask for q in sub.points if covers(q, p))
+                assert downs == sum(1 << q.mask for q in sub.points if covers(p, q))
+
+    def test_mode_is_checked(self):
+        for sub in (Subposet.empty(2), Subposet.cube(2)):
+            with pytest.raises(ValueError, match="mode must be one of .*'diagonal'"):
+                find_v3(sub, "diagonal")
 
     def test_witness_is_genuine_in_both_modes(self):
         sub = S(4, "0000", "1000", "0100", "1100", "1010", "0110")

@@ -26,6 +26,7 @@ from .monotone import count_monotone_oracle
 from .partition import (
     DEFAULT_COVER_MODE,
     MemoCache,
+    _minimality,
     construct_layer_subset,
     construct_recursive_partition,
     corollary_split,
@@ -39,16 +40,6 @@ from .partition import (
 from .poset import COVER_MODES, Point, Subposet, find_v3
 
 DEFAULT_SEED = 20260819
-
-_VERIFY_CAPS = {
-    "1": 5,
-    "corollary": 5,
-    "2": 3,
-    "3": 6,
-    "lemma2": 4,
-    "lemma3": 7,
-    "4": 6,
-}
 
 
 def _digest(text: str) -> str:
@@ -290,27 +281,26 @@ def _verify_theorem_4(args, rng, lines, failures):
     return cases
 
 
+# theorem -> (suite, title, least n, largest n)
 _VERIFY_RUNNERS = {
-    "1": (_verify_theorem_1, "partition identity on random (S, A) pairs"),
-    "corollary": (_verify_corollary, "single-point split sums"),
-    "2": (_verify_theorem_2, "completeness equivalence experiment"),
-    "3": (_verify_theorem_3, "mirror-complement construction"),
-    "lemma2": (_verify_lemma2, "complete-partition size law"),
-    "lemma3": (_verify_lemma3, "layer subsets are minimal complete partitions"),
-    "4": (_verify_theorem_4, "power-of-two decomposition"),
+    "1": (_verify_theorem_1, "partition identity on random (S, A) pairs", 1, 5),
+    "corollary": (_verify_corollary, "single-point split sums", 1, 5),
+    "2": (_verify_theorem_2, "completeness equivalence experiment", 2, 3),
+    "3": (_verify_theorem_3, "mirror-complement construction", 2, 6),
+    "lemma2": (_verify_lemma2, "complete-partition size law", 2, 4),
+    "lemma3": (_verify_lemma3, "layer subsets are minimal complete partitions", 2, 7),
+    "4": (_verify_theorem_4, "power-of-two decomposition", 2, 6),
 }
 
 
 def _cmd_verify(args) -> tuple[dict, list[str], int]:
-    cap = _VERIFY_CAPS[args.theorem]
-    floor = 2 if args.theorem in ("2", "3", "lemma2", "lemma3", "4") else 1
+    runner, title, floor, cap = _VERIFY_RUNNERS[args.theorem]
     if not floor <= args.n <= cap:
         raise PosetParseError(
             f"--theorem {args.theorem} supports {floor} <= n <= {cap}, got {args.n}")
     if args.samples < 1:
         raise PosetParseError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
-    runner, title = _VERIFY_RUNNERS[args.theorem]
     lines = [f"verify {args.theorem}: {title} (n={args.n})"]
     failures: list[dict] = []
     cases = runner(args, rng, lines, failures)
@@ -357,15 +347,18 @@ def _cmd_check_complete(args) -> tuple[dict, list[str], int]:
     mode = args.mode
     witness = find_v3(S.minus(A), mode)
     complete = witness is None
-    classification = minimality_check(A, n)
+    # minimality is read under the default covers: in that mode the search
+    # above already tells whether A is complete
+    if mode == DEFAULT_COVER_MODE:
+        classification = _minimality(A, complete)
+    else:
+        classification = minimality_check(A, n)
     lines = [
         f"subset of E^{n}, size {len(A)}",
         f"complete ({mode} covers): {'yes' if complete else 'no'}",
     ]
     if witness is not None:
-        lines.append(f"remainder V-shape: apex {witness.apex}, "
-                     f"arms {witness.arms[0]} and {witness.arms[1]}, "
-                     f"orientation {witness.orientation}")
+        lines.append(f"remainder V-shape: {witness}")
     lines.append(f"classification: {classification}")
     result = {
         "complete": complete,
@@ -458,9 +451,6 @@ def main(argv=None) -> int:
         report, lines, code = args.handler(args)
         elapsed_ms = int((time.monotonic() - start) * 1000)
         report["threads"] = args.threads
-    except PosetParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

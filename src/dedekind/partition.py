@@ -169,17 +169,16 @@ class MemoCache:
 
 @lru_cache(maxsize=None)
 def _symmetry_tables(dim: int) -> np.ndarray:
-    """Point-index transforms of E^dim: all coordinate permutations followed
-    by the same composed with global complementation.  Shape
-    (2*dim!, max(2^dim, 32)): below dimension 5 the slots past 2^dim index
-    cell 2^dim, which is never a member, so every row is whole 32-slot words."""
+    """Point-index transforms of E^dim, shape (2*dim!, 2^dim): slot j of
+    image r holds the set's membership of point [r, j].  The first dim! rows
+    are the coordinate permutations in itertools.permutations order, the
+    rest the same composed with global complementation."""
     size = 1 << dim
     bits = ((np.arange(size)[:, None] >> np.arange(dim)[None, :]) & 1).astype(np.int64)
     perms = list(itertools.permutations(range(dim)))
     place = np.array([[1 << p[i] for i in range(dim)] for p in perms], dtype=np.int64)
     transformed = (bits @ place.T).T  # (dim!, size)
     full = np.concatenate([transformed, (size - 1) - transformed])
-    full = np.pad(full, ((0, 0), (0, max(32 - size, 0))), constant_values=size)
     return np.ascontiguousarray(full, dtype=np.int32)
 
 
@@ -217,7 +216,7 @@ def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.
     coordinate p[j]."""
     tables = _symmetry_tables(dim)
     half = tables.shape[0] // 2
-    inv = (memb[: 1 << dim] @ _coordinate_weights(dim)).tolist()
+    inv = (memb @ _coordinate_weights(dim)).tolist()
     pairs = ((inv[:dim], 0), (inv[dim:], half)) if fold_duality else ((inv[:dim], 0),)
     keyed = [(sorted(vec), vec, base) for vec, base in pairs]
     least = min(keyed)[0]
@@ -238,24 +237,10 @@ def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.
 
 
 def _canonical_payload(masks: list[int], dim: int, fold_duality: bool) -> bytes:
-    memb = np.zeros((1 << dim) + 1, dtype=np.uint8)
-    if masks:
-        memb[masks] = 1
-
-    # radix minimum over the candidate images, 32 point-slots (one
-    # big-endian word) at a time: gather only surviving transforms
-    surviving = _candidate_transforms(memb, dim, fold_duality)
-    parts = [b"\x00", bytes([dim])]
-    offset = 0
-    while surviving.shape[0] > 1 and offset < surviving.shape[1]:
-        vals = np.packbits(memb[surviving[:, offset : offset + 32]], axis=1).view(">u4").ravel()
-        m = vals.min()
-        parts.append(int(m).to_bytes(4, "big"))
-        surviving = surviving[vals == m]
-        offset += 32
-    if offset < surviving.shape[1]:
-        parts.append(np.packbits(memb[surviving[0, offset:]]).tobytes())
-    return b"".join(parts)
+    memb = np.zeros(1 << dim, dtype=np.uint8)
+    memb[masks] = 1
+    images = np.packbits(memb[_candidate_transforms(memb, dim, fold_duality)], axis=1)
+    return b"\x00" + bytes([dim]) + min(map(bytes, images))
 
 
 def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
@@ -790,12 +775,6 @@ def construct_layer_subset(n: int, parity: str) -> Subposet:
     return Subposet(n, tuple(m for m in range(1 << n) if m.bit_count() & 1 == want))
 
 
-def _witness_text(w) -> str:
-    return (
-        f"apex {w.apex}, arms {w.arms[0]} and {w.arms[1]}, orientation {w.orientation}"
-    )
-
-
 def construct_recursive_partition(n: int, i: int, seed: Subposet) -> Subposet:
     """Extend a complete partition of the upper subcube at coordinate i to a
     complete partition of E^n by mirror complement: keep the seed, and take
@@ -814,13 +793,13 @@ def construct_recursive_partition(n: int, i: int, seed: Subposet) -> Subposet:
         raise ValueError("seed must lie in the upper subcube (coordinate i equal to 1)")
     w = find_v3(seed, DEFAULT_COVER_MODE)
     if w is not None:
-        raise ValueError(f"seed contains a V-shape: {_witness_text(w)}")
+        raise ValueError(f"seed contains a V-shape: {w}")
     upper = Subposet(n, tuple(m for m in range(1 << n) if m & bit))
     w = find_v3(upper.minus(seed), DEFAULT_COVER_MODE)
     if w is not None:
         raise ValueError(
             "seed does not completely partition the upper subcube; "
-            f"V-shape in the remainder: {_witness_text(w)}"
+            f"V-shape in the remainder: {w}"
         )
     in_seed = set(seed.masks)
     mirrors = tuple(
@@ -838,13 +817,17 @@ def minimality_check(A: Subposet, n: int) -> str:
         raise ValueError("minimality is defined for n >= 1")
     if A.dim != n:
         raise ValueError(f"pivot dimension {A.dim} != {n}")
+    return _minimality(A, bool(A.masks) and is_complete_partition(A, Subposet.cube(n)))
+
+
+def _minimality(A: Subposet, complete: bool) -> str:
+    """minimality_check's verdict on a pivot subset of E^A.dim, given
+    whether A completely partitions the cube under DEFAULT_COVER_MODE."""
     # an empty pivot partitions nothing; without this the vacuously V-free
     # remainder E^1 would slip past the predicate and falsify the size law
-    if not A.masks:
+    if not (complete and A.masks):
         return NOT_COMPLETE
-    if not is_complete_partition(A, Subposet.cube(n)):
-        return NOT_COMPLETE
-    half = 1 << (n - 1)
+    half = 1 << (A.dim - 1)
     if find_v3(A, DEFAULT_COVER_MODE) is None:
         if len(A) != half:
             raise FalsificationError(

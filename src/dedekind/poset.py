@@ -123,6 +123,10 @@ class V3Witness:
         if leq(a, b) or leq(b, a):
             raise ValueError("arms must be incomparable")
 
+    def __str__(self) -> str:
+        return (f"apex {self.apex}, arms {self.arms[0]} and {self.arms[1]}, "
+                f"orientation {self.orientation}")
+
 
 @dataclass(frozen=True)
 class Subposet:

@@ -8,7 +8,7 @@ import pytest
 import dedekind.cli as cli_module
 import dedekind.partition as partition_module
 from dedekind.cli import main
-from dedekind.poset import Subposet
+from dedekind.poset import Subposet, find_v3
 
 
 @pytest.fixture(autouse=True)
@@ -195,6 +195,21 @@ class TestVerify:
         assert run(capsys, "verify", "--theorem", "1", "--n", "0")[0] == 2
         assert run(capsys, "verify", "--theorem", "4", "--n", "1")[0] == 2
 
+    @pytest.mark.parametrize("theorem", tuple(cli_module._VERIFY_RUNNERS))
+    def test_dimension_range_of_each_theorem(self, capsys, theorem):
+        floor, cap = cli_module._VERIFY_RUNNERS[theorem][2:]
+        for n in (floor, cap):
+            code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n", str(n),
+                               "--samples", "1")
+            # lemma2 exits 1 where the size law has genuine counterexamples
+            assert code in (0, 1)
+            assert out.rstrip().endswith("checks passed")
+        for n in (floor - 1, cap + 1):
+            code, _, err = run(capsys, "verify", "--theorem", theorem, "--n", str(n))
+            assert code == 2
+            assert err == (f"error: --theorem {theorem} supports "
+                           f"{floor} <= n <= {cap}, got {n}\n")
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_must_be_positive(self, capsys, samples):
         # no suite may pass on zero checks
@@ -325,6 +340,30 @@ class TestCheckComplete:
         assert code == 4
         assert err.startswith("FALSIFIED:")
         assert "expected > 4" in err
+
+    @pytest.mark.parametrize("mode, searches", [("ambient", 2), ("induced", 3)])
+    def test_remainder_searched_once_per_mode(self, capsys, tmp_path, monkeypatch,
+                                              mode, searches):
+        # ambient: the remainder once, then A itself; induced: the remainder
+        # under each reading, then A
+        from dedekind.partition import construct_layer_subset
+
+        seen = []
+
+        def spy(S, mode="ambient"):
+            seen.append((S.masks, mode))
+            return find_v3(S, mode)
+
+        monkeypatch.setattr(cli_module, "find_v3", spy)
+        monkeypatch.setattr(partition_module, "find_v3", spy)
+        A = construct_layer_subset(4, "even")
+        path = write_poset(tmp_path, "even4.txt", A)
+        code, out, _ = run(capsys, "check-complete", "--subset", path, "--mode", mode)
+        assert code == 0
+        assert "classification: minimal" in out
+        assert len(seen) == searches
+        assert len(set(seen)) == searches
+        assert seen[-1] == (A.masks, "ambient")
 
     def test_dimension_cross_check(self, capsys, tmp_path):
         path = write_poset(tmp_path, "even4.txt", Subposet.cube(2))

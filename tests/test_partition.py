@@ -83,6 +83,28 @@ def exhaustive_key(S: Subposet, fold: bool) -> bytes:
     return min(bytes(image) for image in np.packbits(memb[rows], axis=1))
 
 
+def radix_key(S: Subposet, fold: bool) -> bytes:
+    """The key as the radix loop took it before it became one min over the
+    packed images: the least candidate image, 32 point slots (one
+    big-endian word) at a time, keeping only the rows that tie on each
+    word.  Rows are whole words from dimension 5 up, where the two keys
+    must agree byte for byte."""
+    memb = np.zeros(1 << S.dim, dtype=np.uint8)
+    memb[list(S.masks)] = 1
+    surviving = partition_module._candidate_transforms(memb, S.dim, fold)
+    parts = [b"\x00", bytes([S.dim])]
+    offset = 0
+    while surviving.shape[0] > 1 and offset < surviving.shape[1]:
+        vals = np.packbits(memb[surviving[:, offset : offset + 32]], axis=1).view(">u4").ravel()
+        m = vals.min()
+        parts.append(int(m).to_bytes(4, "big"))
+        surviving = surviving[vals == m]
+        offset += 32
+    if offset < surviving.shape[1]:
+        parts.append(np.packbits(memb[surviving[0, offset:]]).tobytes())
+    return b"".join(parts)
+
+
 def assert_orbits_match_exhaustive(rng, sets, fold: bool) -> None:
     """Each set, two coordinate relabelings of it and its dual must split
     into the same classes under canonical_key as under exhaustive_key."""
@@ -517,10 +539,34 @@ class TestCanonicalKey:
             assert_orbits_match_exhaustive(rng, sets, fold)
 
     @pytest.mark.parametrize("fold", [True, False])
+    def test_keys_match_radix_reference(self, rng, fold):
+        sets = [random_subposet(rng, dim) for dim, trials in ((5, 30), (6, 20), (7, 10))
+                for _ in range(trials)]
+        sets += [cube_residual(rng, dim) for dim, trials in ((6, 20), (7, 12))
+                 for _ in range(trials)]
+        for dim in (5, 6, 7):
+            cube = Subposet.cube(dim)
+            sets += [cube, Subposet.empty(dim)]
+            sets += [Subposet(dim, tuple(m for m in cube.masks if m.bit_count() == w))
+                     for w in range(dim + 1)]
+        for S in sets:
+            for T in (S, S.dual()):
+                assert canonical_key(T, fold_duality=fold) == radix_key(T, fold)
+
+    def test_key_length(self, rng):
+        # a kind byte, the dimension, then one bit per point of the image
+        for dim in range(CANONICAL_DIM_CAP + 1):
+            sets = [Subposet.empty(dim), Subposet.cube(dim)]
+            sets += [random_subposet(rng, dim) for _ in range(5)]
+            for S in sets:
+                for fold in (True, False):
+                    assert len(canonical_key(S, fold_duality=fold)) == 2 + -(-(1 << dim) // 8)
+
+    @pytest.mark.parametrize("fold", [True, False])
     def test_keys_partition_like_brute_orbits(self, fold):
         # the brute key: the least sorted mask tuple over every image of S
         # under the symmetries the key claims to fold
-        for dim in (2, 3):
+        for dim in (0, 1, 2, 3):
             size = 1 << dim
             perms = list(itertools.permutations(range(dim)))
             pairs = set()

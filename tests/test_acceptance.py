@@ -40,12 +40,12 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_01_sequence_regression_oracle_first():
     t0 = time.monotonic()
     oracle_small = [count_monotone_oracle(Subposet.cube(n)) for n in range(6)]
-    engine_small = [count_via_partition(Subposet.cube(n)) for n in range(6)]
+    engine_small = [count_via_partition(Subposet.cube(n), "single") for n in range(6)]
     small_elapsed = time.monotonic() - t0
 
     t1 = time.monotonic()
     oracle_six = count_monotone_oracle(Subposet.cube(6))
-    engine_six = count_via_partition(Subposet.cube(6))
+    engine_six = count_via_partition(Subposet.cube(6), "single")
     six_elapsed = time.monotonic() - t1
 
     oracle_values = tuple(oracle_small) + (oracle_six,)

@@ -139,6 +139,31 @@ class TestCount:
     def test_no_cache_same_answer(self, capsys):
         assert run(capsys, "count", "--n", "4", "--no-cache")[1] == "168\n"
 
+    def test_strategies_agree(self, capsys):
+        for strategy in ("auto", "single", "layer", "interval"):
+            assert run(capsys, "count", "--n", "4", "--strategy", strategy)[:2] == (0, "168\n")
+
+    def test_interval_strategy_needs_a_product(self, capsys, tmp_path):
+        path = write_poset(tmp_path, "chain3.txt", Subposet(3, (0, 1, 3)))
+        code, out, err = run(capsys, "count", "--poset", path, "--strategy", "interval")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: interval strategy needs")
+
+    def test_interval_report_identical_across_repeats(self, capsys):
+        # the default count of E^5 is the interval sum, which leaves the memo
+        # table unused: everything but the elapsed time repeats byte for byte
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, "count", "--n", "5", "--format", "json")
+            assert code == 0
+            report = json.loads(out)
+            del report["elapsed_ms"]
+            outs.append(json.dumps(report, sort_keys=True))
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["result"] == "7581"
+        assert json.loads(outs[0])["cache"] == {"hits": 0, "misses": 0}
+
 
 class TestVerify:
     def test_corollary_split_suite(self, capsys):

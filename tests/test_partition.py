@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dedekind.partition as partition_module
 from conftest import brute_count_monotone, random_subposet
 from dedekind.errors import BudgetExceededError, FalsificationError
-from dedekind.monotone import count_monotone_oracle
+from dedekind.monotone import count_monotone_oracle, enumerate_monotone
 from dedekind.partition import (
     CANONICAL_DIM_CAP,
     COMPLETE_BUT_NOT_MINIMAL,
@@ -284,15 +284,15 @@ class TestEngine:
         sets = [random_subposet(rng, 4) for _ in range(10)]
         sets += [cube_residual(rng, 6) for _ in range(8)]
         for S in sets:
-            assert count_via_partition(S, use_cache=True) == count_via_partition(
-                S, use_cache=False
+            assert count_via_partition(S, "single", use_cache=True) == count_via_partition(
+                S, "single", use_cache=False
             )
 
     def test_shared_cache_reuse(self):
         cache = MemoCache()
-        first = count_via_partition(Subposet.cube(4), cache=cache)
+        first = count_via_partition(Subposet.cube(4), "single", cache=cache)
         misses_after_first = cache.misses
-        second = count_via_partition(Subposet.cube(4), cache=cache)
+        second = count_via_partition(Subposet.cube(4), "single", cache=cache)
         assert first == second == 168
         # the warm run answers from the table without a single new entry
         assert cache.misses == misses_after_first
@@ -304,7 +304,7 @@ class TestEngine:
             for _ in range(trials):
                 S = random_subposet(rng, n)
                 cache = MemoCache(maxsize=maxsize)
-                assert count_via_partition(S, cache=cache) == count_monotone_oracle(S)
+                assert count_via_partition(S, "single", cache=cache) == count_monotone_oracle(S)
                 assert len(cache) <= maxsize
 
     def test_node_budget(self):
@@ -322,7 +322,7 @@ class TestEngine:
     ])
     def test_bad_budget_rejected(self, budget):
         # rejected before any work, even where the count needs no engine node
-        for strategy in ("single", "layer", Subposet.cube(3)):
+        for strategy in ("single", "layer", "interval", "auto", Subposet.cube(3)):
             with pytest.raises(ValueError, match="must be >= 0"):
                 count_via_partition(Subposet.cube(3), strategy, **budget)
         with pytest.raises(ValueError, match="must be >= 0"):
@@ -380,7 +380,7 @@ class TestEngine:
         size = data.draw(st.integers(0, 32))
         order = data.draw(st.permutations(range(1 << dim)))
         S = Subposet(dim, tuple(sorted(order[:size])))
-        assert count_via_partition(S) == count_monotone_oracle(S)
+        assert count_via_partition(S, "single") == count_monotone_oracle(S)
 
     def test_pivot_walk_matches_partition_terms(self, rng):
         # the engine's pivot walk against the enumeration oracle's term list,
@@ -393,6 +393,105 @@ class TestEngine:
                     count_monotone_oracle(t.residual) for t in partition_terms(S, A)
                 )
                 assert count_via_partition(S, A) == expected
+
+
+def product_with_square(n: int, i: int, j: int, t_masks) -> Subposet:
+    """T x E^2 in E^n: T's masks spread over the coordinates other than i
+    and j, each point taken with all four values of coordinates i and j."""
+    rest = [c for c in range(n) if c not in (i, j)]
+    square = (0, 1 << i, 1 << j, 1 << i | 1 << j)
+    spread = [sum(1 << rest[b] for b in range(len(rest)) if t >> b & 1) for t in t_masks]
+    return Subposet(n, tuple(p | x for p in spread for x in square))
+
+
+class TestIntervalStrategy:
+    @pytest.mark.parametrize("strategy", ["interval", "auto"])
+    def test_full_cubes_pinned(self, strategy):
+        for n in range(2, 7):
+            assert count_via_partition(Subposet.cube(n), strategy) == PINNED_DEDEKIND[n]
+
+    def test_seven_cube(self):
+        assert count_via_partition(Subposet.cube(7), "interval") == 2414682040998
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_engine_on_products_hypothesis(self, data):
+        # T of at most 12 points in E^(n-2), the square on two random
+        # coordinates, not always the two lowest
+        n = data.draw(st.integers(2, 7))
+        i, j = sorted(data.draw(st.permutations(range(n)))[:2])
+        size = data.draw(st.integers(0, min(12, 1 << (n - 2))))
+        t_masks = data.draw(st.permutations(range(1 << (n - 2))))[:size]
+        S = product_with_square(n, i, j, t_masks)
+        single = count_via_partition(S, "single")
+        assert count_via_partition(S, "interval") == count_via_partition(S, "auto") == single
+
+    def test_product_detection_matches_toggles(self, rng):
+        sets = [Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+                for n in (1, 2, 3) for bits in range(1 << (1 << n))]
+        sets += [random_subposet(rng, n) for n in (4, 5) for _ in range(30)]
+        sets += [product_with_square(5, i, j, [m for m in range(8) if rng.random() < 0.5])
+                 for i, j in itertools.combinations(range(5), 2)]
+        seen = set()
+        for S in sets:
+            members = set(S.masks)
+            free = [c for c in range(S.dim) if {m ^ 1 << c for m in members} == members]
+            T = partition_module._product_factor(S)
+            assert (T is not None) == (len(free) >= 2)
+            if T is not None:
+                # T x E^2 rebuilt on the top two coordinates counts like S
+                rebuilt = product_with_square(T.dim + 2, T.dim, T.dim + 1, T.masks)
+                assert 4 * len(T) == len(S)
+                assert count_via_partition(rebuilt, "single") == count_via_partition(S, "single")
+            seen.add(len(free) >= 2)
+        assert seen == {False, True}
+
+    def test_non_product_refused_and_counted_by_engine(self):
+        for S in (Subposet(3, (0, 1, 3)), Subposet.cube(1), Subposet(2, (0, 1, 2))):
+            with pytest.raises(ValueError, match="interval strategy needs"):
+                count_via_partition(S, "interval")
+            assert count_via_partition(S) == count_via_partition(S, "single")
+
+    def test_too_many_points_refused(self):
+        # E^8 is E^6 x E^2, and E^6 has 64 points: no int64 truth table
+        with pytest.raises(ValueError, match="interval strategy needs"):
+            count_via_partition(Subposet.cube(8), "interval")
+
+    def test_too_many_maps_falls_back_exactly(self):
+        # a 14-point antichain has 2^14 > INTERVAL_MAX_MAPS maps; times E^2
+        # it is 14 disjoint squares, each counting 6
+        antichain = [m for m in range(64) if m.bit_count() == 3][:14]
+        S = product_with_square(8, 0, 7, antichain)
+        assert 1 << 14 > partition_module.INTERVAL_MAX_MAPS
+        with pytest.raises(ValueError, match="interval strategy needs"):
+            count_via_partition(S, "interval")
+        assert count_via_partition(S) == 6 ** 14
+
+    def test_walk_lists_the_oracle_maps(self, rng):
+        # the walk's forced-to-1 regions, packed by rank, are the truth
+        # tables the enumeration oracle lists
+        pool = [A for A in pivot_pool(rng) if A.dim <= 4]
+        for A in pool:
+            ones = [o for o, _ in partition_module._pivot_maps(A, fresh_run())]
+            tables = sorted(partition_module._rank_bitsets(ones, A).tolist())
+            assert tables == sorted(f.bits for f in enumerate_monotone(A))
+
+    @pytest.mark.parametrize("strategy", ["interval", "auto"])
+    def test_budgets(self, strategy):
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(5), strategy, max_nodes=5)
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(5), strategy, budget_seconds=0.0)
+
+    def test_nodes_are_walk_decisions_and_rows(self):
+        # |M(E^4)| - 1 = 167 walk decisions, then one node per row of the
+        # pair sum: 335 in all
+        S = Subposet.cube(6)
+        assert count_via_partition(S, "interval", max_nodes=335) == PINNED_DEDEKIND[6]
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(S, "interval", max_nodes=334)
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(S, "interval", max_nodes=167)
 
 
 class TestPartitionTerms:

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count monotone maps on a cube or a poset file")
     p.add_argument("--n", type=int, help="full cube dimension")
     p.add_argument("--poset", help="poset file (n=<dim> header, one point per line)")
-    p.add_argument("--strategy", choices=("auto", "single", "layer", "interval"),
+    p.add_argument("--strategy", choices=("auto", "single", "layer"),
                    default="auto",
                    help="counting strategy: auto (default) takes the interval sum "
                         "for products T x E^2 and the engine elsewhere; single "

@@ -11,10 +11,10 @@ the order and preserves counts) and splits order-disconnected residuals
 multiplicatively.  A residual's canonical key is its least image over the
 symmetries that sort its coordinates by a weight-histogram invariant, a
 partition refinement in the style of McKay and Piperno, so a key searches a
-handful of the 2*d! symmetries rather than all of them.  A product T x E^2,
-every full cube from E^2 up among them, is counted without the engine by
-the interval sum over pairs of monotone maps on T (Wiedemann, Order 8,
-1991).
+handful of the 2*d! symmetries rather than all of them.  A product T x E^2
+with T order-connected, every full cube from E^2 up among them, is counted
+without the engine by the interval sum over pairs of monotone maps on T
+(Wiedemann, Order 8, 1991).
 
 Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
@@ -69,7 +69,7 @@ CANONICAL_DIM_CAP = 7
 # The interval sum's reach.  Truth tables of maps on T are int64 bitsets over
 # T's points, and the sum visits |M(T)|^2 pairs: at 10^4 maps that is 10^8
 # pairs, a few seconds, with every partial sum far inside int64.  Beyond
-# either limit "auto" counts with the engine and "interval" refuses.
+# either limit "auto" counts with the engine.
 INTERVAL_MAX_POINTS = 63
 INTERVAL_MAX_MAPS = 10_000
 # Pairs per numpy block of the interval sum: a block's temporaries stay a
@@ -461,45 +461,35 @@ def _product_factor(S: Subposet) -> Subposet | None:
     return None
 
 
-def _rank_bitsets(point_bitsets: list[int], T: Subposet) -> np.ndarray:
-    """Each point-space bitset over E^T.dim narrowed to T and packed by rank:
-    bit r of the int64 is the membership of T's r-th least point.  Needs
-    |T| <= 63."""
-    width = -(-(1 << T.dim) // 8)
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in point_bitsets), np.uint8)
-    memb = np.unpackbits(raw.reshape(len(point_bitsets), width), axis=1, bitorder="little")
-    packed = np.packbits(memb[:, list(T.masks)], axis=1, bitorder="little")
-    words = np.zeros((len(point_bitsets), 8), np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view("<i8").ravel()
-
-
 def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
-    """D(S) by the interval sum when S = T x E^2 with |T| <= INTERVAL_MAX_POINTS
-    and |M(T)| <= INTERVAL_MAX_MAPS; None otherwise.
+    """D(S) by the interval sum when S = T x E^2 with T order-connected,
+    |T| <= INTERVAL_MAX_POINTS and |M(T)| <= INTERVAL_MAX_MAPS; None
+    otherwise.  A T of several components is left to the engine, which
+    multiplies over them (2^k at once for a k-point antichain).
 
     The four fibres of a monotone map on T x E^2 are monotone maps c <= a, b
     <= d on T, so D(S) is the sum over pairs (a, b) of M(T)^2 of
     below[a & b] * above[a | b]: the maps under the meet times the maps over
     the join.  Maps are T's up-sets as rank-space truth tables, listed by
-    _pivot_maps and sorted, so a meet or join is found by searchsorted.
-    below and above come from one subset matrix, and the pair sum takes b
-    from a's block of rows on, so by symmetry it computes each unordered
-    pair once outside the blocks' diagonal squares; both run in numpy
-    blocks of rows of at most _INTERVAL_BLOCK_PAIRS pairs.  Each row a of
+    _pivot_maps, narrowed to T's points and sorted, so a meet or join is
+    found by searchsorted.  below and above come from one subset matrix,
+    and the pair sum takes b from a's block of rows on, so by symmetry it
+    computes each unordered pair once outside the blocks' diagonal squares;
+    both run in numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS
+    pairs.  Each row a of
     the pair sum spends one engine node, as each walk decision does, so the
     deadline goes unchecked only through the below/above pass (0.16 s over
     the 7,581 maps of E^5 on a 2-vCPU host).  At 10^4 maps and below every
     partial sum stays far inside int64."""
     T = _product_factor(S)
-    if T is None or len(T) > INTERVAL_MAX_POINTS:
+    if T is None or len(T) > INTERVAL_MAX_POINTS or len(_components(T.bitset, T.dim)) > 1:
         return None
     ups = []
     for ones, _ in _pivot_maps(T, run):
         if len(ups) == INTERVAL_MAX_MAPS:
             return None
-        ups.append(ones)
-    maps = np.sort(_rank_bitsets(ups, T))
+        ups.append(_extract_bits(ones, T.bitset))
+    maps = np.sort(np.array(ups, np.int64))
     k = len(maps)
     rows = max(1, _INTERVAL_BLOCK_PAIRS // k)
     below = np.empty(k, np.int64)
@@ -652,29 +642,28 @@ def count_via_partition(
 
     strategy selects the top-level pivot.  "single" is the engine: it
     recurses on one median-weight point of maximal comparability degree at
-    every level, memoized in cache.  "interval" splits S = T x E^2 by its
-    two product coordinates into the sum over pairs (a, b) of monotone maps
-    on T of (maps under a meet b) * (maps over a join b), with T's maps
-    listed by the pivot walk; it needs the product shape, at most
-    INTERVAL_MAX_POINTS points in T and at most INTERVAL_MAX_MAPS maps on
-    T, and raises ValueError otherwise.  "auto" (default) takes the
-    interval sum where it applies and the engine elsewhere.  "layer" pivots
-    on the even-weight layer subset of a full cube, making every residual
-    an antichain, and returns the value at 2 of the residual-size
-    polynomial decompose_power_of_two builds (the antichain check runs
-    once, before the walk).  A Subposet pivots on that explicit subset
-    once, then counts each residual with the engine.  "interval" and
-    "layer" leave cache unused.  All strategies are exact and agree; they
-    differ only in work.  Counting runs on the calling thread.
+    every level, memoized in cache.  "auto" (default) splits S = T x E^2
+    by its two product coordinates into the interval sum over pairs (a, b)
+    of monotone maps on T of (maps under a meet b) * (maps over a join b),
+    with T's maps listed by the pivot walk, when T is order-connected with
+    at most INTERVAL_MAX_POINTS points and at most INTERVAL_MAX_MAPS maps;
+    elsewhere it is the engine.  "layer" pivots on the even-weight layer
+    subset of a full cube, making every residual an antichain, and returns
+    the value at 2 of the residual-size polynomial decompose_power_of_two
+    builds (the antichain check runs once, before the walk).  A Subposet
+    pivots on that explicit subset once, then counts each residual with the
+    engine.  The interval sum and "layer" leave cache unused.  All
+    strategies are exact and agree; they differ only in work.  Counting
+    runs on the calling thread.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
     engine, the decisions of a pivot walk (an explicit pivot's, or the walk
     listing M(T), |M(T)| - 1 of them), one per row a of the interval sum,
-    and the distinct states of the layer walk; an "auto" run that leaves
-    the interval sum for the engine keeps the nodes it spent.  A negative
-    max_nodes, or a budget_seconds that is negative or NaN, raises
-    ValueError.
+    and the distinct states of the layer walk; an "auto" run whose T has
+    more than INTERVAL_MAX_MAPS maps leaves the interval sum for the engine
+    and keeps the nodes its walk spent.  A negative max_nodes, or a
+    budget_seconds that is negative or NaN, raises ValueError.
     """
     run = _EngineRun(
         cache if cache is not None else MemoCache(), use_cache, max_nodes, budget_seconds
@@ -687,16 +676,9 @@ def count_via_partition(
             _count_bits(s_bits & ~covered, S.dim, run)
             for _, covered in _pivot_maps(strategy, run)
         )
-    if strategy in ("auto", "interval"):
+    if strategy == "auto":
         value = _interval_sum(S, run)
-        if value is not None:
-            return value
-        if strategy == "interval":
-            raise ValueError(
-                f"interval strategy needs S = T x E^2 with at most "
-                f"{INTERVAL_MAX_POINTS} points and {INTERVAL_MAX_MAPS} monotone maps on T"
-            )
-        return _count_bits(S.bitset, S.dim, run)
+        return value if value is not None else _count_bits(S.bitset, S.dim, run)
     if strategy == "layer":
         if S != Subposet.cube(S.dim):
             raise ValueError("layer strategy requires the full cube")

@@ -140,15 +140,8 @@ class TestCount:
         assert run(capsys, "count", "--n", "4", "--no-cache")[1] == "168\n"
 
     def test_strategies_agree(self, capsys):
-        for strategy in ("auto", "single", "layer", "interval"):
+        for strategy in ("auto", "single", "layer"):
             assert run(capsys, "count", "--n", "4", "--strategy", strategy)[:2] == (0, "168\n")
-
-    def test_interval_strategy_needs_a_product(self, capsys, tmp_path):
-        path = write_poset(tmp_path, "chain3.txt", Subposet(3, (0, 1, 3)))
-        code, out, err = run(capsys, "count", "--poset", path, "--strategy", "interval")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: interval strategy needs")
 
     def test_interval_report_identical_across_repeats(self, capsys):
         # the default count of E^5 is the interval sum, which leaves the memo

@@ -322,7 +322,7 @@ class TestEngine:
     ])
     def test_bad_budget_rejected(self, budget):
         # rejected before any work, even where the count needs no engine node
-        for strategy in ("single", "layer", "interval", "auto", Subposet.cube(3)):
+        for strategy in ("single", "layer", "auto", Subposet.cube(3)):
             with pytest.raises(ValueError, match="must be >= 0"):
                 count_via_partition(Subposet.cube(3), strategy, **budget)
         with pytest.raises(ValueError, match="must be >= 0"):
@@ -404,27 +404,56 @@ def product_with_square(n: int, i: int, j: int, t_masks) -> Subposet:
     return Subposet(n, tuple(p | x for p in spread for x in square))
 
 
-class TestIntervalStrategy:
-    @pytest.mark.parametrize("strategy", ["interval", "auto"])
-    def test_full_cubes_pinned(self, strategy):
+def comparability_components(masks) -> int:
+    """Number of components of the comparability graph on masks, by brute
+    force over pairs."""
+    masks = list(masks)
+    label = list(range(len(masks)))
+    for x, y in itertools.combinations(range(len(masks)), 2):
+        a, b = masks[x], masks[y]
+        if a & b in (a, b) and label[x] != label[y]:
+            old = label[y]
+            label = [label[x] if v == old else v for v in label]
+    return len(set(label))
+
+
+def interval_sum(S: Subposet, **budget):
+    """partition._interval_sum on a fresh run: D(S), or None where the
+    interval sum does not apply."""
+    return partition_module._interval_sum(
+        S, partition_module._EngineRun(None, False, budget.get("max_nodes"),
+                                       budget.get("budget_seconds"))
+    )
+
+
+class TestIntervalSum:
+    def test_full_cubes_pinned(self):
         for n in range(2, 7):
-            assert count_via_partition(Subposet.cube(n), strategy) == PINNED_DEDEKIND[n]
+            assert interval_sum(Subposet.cube(n)) == PINNED_DEDEKIND[n]
+            assert count_via_partition(Subposet.cube(n)) == PINNED_DEDEKIND[n]
 
     def test_seven_cube(self):
-        assert count_via_partition(Subposet.cube(7), "interval") == 2414682040998
+        assert interval_sum(Subposet.cube(7)) == 2414682040998
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_engine_on_products_hypothesis(self, data):
         # T of at most 12 points in E^(n-2), the square on two random
-        # coordinates, not always the two lowest
+        # coordinates, not always the two lowest; half the draws add T's
+        # bottom, which joins every component
         n = data.draw(st.integers(2, 7))
         i, j = sorted(data.draw(st.permutations(range(n)))[:2])
         size = data.draw(st.integers(0, min(12, 1 << (n - 2))))
         t_masks = data.draw(st.permutations(range(1 << (n - 2))))[:size]
+        if data.draw(st.booleans()):
+            t_masks = sorted(set(t_masks[:11]) | {0})
         S = product_with_square(n, i, j, t_masks)
         single = count_via_partition(S, "single")
-        assert count_via_partition(S, "interval") == count_via_partition(S, "auto") == single
+        assert count_via_partition(S) == single
+        if comparability_components(t_masks) <= 1:
+            assert interval_sum(S) == single
+        else:
+            assert interval_sum(S) is None
 
     def test_product_detection_matches_toggles(self, rng):
         sets = [Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
@@ -446,52 +475,71 @@ class TestIntervalStrategy:
             seen.add(len(free) >= 2)
         assert seen == {False, True}
 
-    def test_non_product_refused_and_counted_by_engine(self):
+    def test_non_product_counted_by_engine(self):
         for S in (Subposet(3, (0, 1, 3)), Subposet.cube(1), Subposet(2, (0, 1, 2))):
-            with pytest.raises(ValueError, match="interval strategy needs"):
-                count_via_partition(S, "interval")
+            assert interval_sum(S) is None
             assert count_via_partition(S) == count_via_partition(S, "single")
 
-    def test_too_many_points_refused(self):
+    def test_too_many_points_left_to_engine(self):
         # E^8 is E^6 x E^2, and E^6 has 64 points: no int64 truth table
-        with pytest.raises(ValueError, match="interval strategy needs"):
-            count_via_partition(Subposet.cube(8), "interval")
+        assert interval_sum(Subposet.cube(8)) is None
 
-    def test_too_many_maps_falls_back_exactly(self):
-        # a 14-point antichain has 2^14 > INTERVAL_MAX_MAPS maps; times E^2
-        # it is 14 disjoint squares, each counting 6
+    def test_disconnected_product_stays_on_engine(self):
+        # a 14-point antichain times E^2 is 14 disjoint squares, each
+        # counting 6; the engine multiplies over them in a handful of nodes,
+        # where the interval sum would walk 2^14 maps
         antichain = [m for m in range(64) if m.bit_count() == 3][:14]
         S = product_with_square(8, 0, 7, antichain)
-        assert 1 << 14 > partition_module.INTERVAL_MAX_MAPS
-        with pytest.raises(ValueError, match="interval strategy needs"):
-            count_via_partition(S, "interval")
-        assert count_via_partition(S) == 6 ** 14
+        run = fresh_run()
+        assert partition_module._interval_sum(S, run) is None
+        assert run.nodes == 0
+        single = partition_module._EngineRun(MemoCache(), True, None, None)
+        assert partition_module._count_bits(S.bitset, S.dim, single) == 6 ** 14
+        assert count_via_partition(S, max_nodes=single.nodes) == 6 ** 14
+
+    def test_too_many_maps_falls_back_exactly(self):
+        # a bottom under a 14-point antichain is connected and has
+        # 2^14 + 1 > INTERVAL_MAX_MAPS maps.  Times E^2 the bottom's square
+        # map g leaves each antichain square the maps above g: 6, 5, 3, 3,
+        # 2 and 1 over the six maps of E^2
+        antichain = [m for m in range(64) if m.bit_count() == 3][:14]
+        S = product_with_square(8, 0, 7, [0] + antichain)
+        assert (1 << 14) + 1 > partition_module.INTERVAL_MAX_MAPS
+        assert interval_sum(S) is None
+        expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
+        assert count_via_partition(S) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
-        # the walk's forced-to-1 regions, packed by rank, are the truth
-        # tables the enumeration oracle lists
+        # the walk's forced-to-1 regions, narrowed to A's points, are the
+        # truth tables the enumeration oracle lists
         pool = [A for A in pivot_pool(rng) if A.dim <= 4]
         for A in pool:
-            ones = [o for o, _ in partition_module._pivot_maps(A, fresh_run())]
-            tables = sorted(partition_module._rank_bitsets(ones, A).tolist())
+            tables = sorted(
+                partition_module._extract_bits(o, A.bitset)
+                for o, _ in partition_module._pivot_maps(A, fresh_run())
+            )
             assert tables == sorted(f.bits for f in enumerate_monotone(A))
 
-    @pytest.mark.parametrize("strategy", ["interval", "auto"])
-    def test_budgets(self, strategy):
-        with pytest.raises(BudgetExceededError):
-            count_via_partition(Subposet.cube(5), strategy, max_nodes=5)
-        with pytest.raises(BudgetExceededError):
-            count_via_partition(Subposet.cube(5), strategy, budget_seconds=0.0)
+    def test_budgets(self):
+        for S in (Subposet.cube(5), Subposet.cube(6)):
+            with pytest.raises(BudgetExceededError):
+                interval_sum(S, max_nodes=5)
+            with pytest.raises(BudgetExceededError):
+                interval_sum(S, budget_seconds=0.0)
+            with pytest.raises(BudgetExceededError):
+                count_via_partition(S, max_nodes=5)
+            with pytest.raises(BudgetExceededError):
+                count_via_partition(S, budget_seconds=0.0)
 
     def test_nodes_are_walk_decisions_and_rows(self):
         # |M(E^4)| - 1 = 167 walk decisions, then one node per row of the
         # pair sum: 335 in all
         S = Subposet.cube(6)
-        assert count_via_partition(S, "interval", max_nodes=335) == PINNED_DEDEKIND[6]
+        assert count_via_partition(S, max_nodes=335) == PINNED_DEDEKIND[6]
         with pytest.raises(BudgetExceededError):
-            count_via_partition(S, "interval", max_nodes=334)
+            count_via_partition(S, max_nodes=334)
         with pytest.raises(BudgetExceededError):
-            count_via_partition(S, "interval", max_nodes=167)
+            count_via_partition(S, max_nodes=167)
 
 
 class TestPartitionTerms:

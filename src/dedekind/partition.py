@@ -5,13 +5,15 @@ maps on S split by their restriction to A, so D(S) is the sum over monotone
 f on A of D(S minus the region f forces).  A single-point pivot gives the
 two-branch recursion; alternating-weight layer pivots force every residual
 down to an antichain, turning D(E^n) into an exact polynomial in powers of
-two.  The engine memoizes residuals under cube symmetry (coordinate
-permutations, optionally folded with global complementation, which reverses
-the order and preserves counts) and splits order-disconnected residuals
-multiplicatively.  A residual's canonical key is its least image over the
-symmetries that sort its coordinates by a weight-histogram invariant, a
-partition refinement in the style of McKay and Piperno, so a key searches a
-handful of the 2*d! symmetries rather than all of them.  A product T x E^2
+two.  The engine counts residuals of a few points directly, memoizes the
+rest by their membership bitset and the large connected ones also under cube
+symmetry (coordinate permutations, optionally folded with global
+complementation, which reverses the order and preserves counts), and splits
+order-disconnected residuals multiplicatively.  A residual's canonical key
+is its least image over the symmetries that sort its coordinates by a
+weight-histogram invariant, a partition refinement in the style of McKay and
+Piperno, so a key searches a handful of the 2*d! symmetries rather than all
+of them.  A product T x E^2
 with T order-connected, every full cube from E^2 up among them, is counted
 without the engine by the interval sum over pairs of monotone maps on T
 (Wiedemann, Order 8, 1991).
@@ -65,6 +67,15 @@ DEFAULT_COVER_MODE = "ambient"
 # beyond; larger sets are keyed by their own membership bitset.  Not an
 # input cap: that is poset.MAX_DIM.
 CANONICAL_DIM_CAP = 7
+
+# The engine keeps its memo where the memo pays.  A residual of at most
+# _DIRECT_MAX_POINTS points is counted by a small DFS, with no projection,
+# no lookup and no entry; a connected residual gets a canonical key only
+# from _CANONICAL_MIN_POINTS points up.  Below that floor a key costs more
+# than the hits it finds save.  Both come from the sweep in
+# BENCH_memo_policy.json.
+_DIRECT_MAX_POINTS = 10
+_CANONICAL_MIN_POINTS = 20
 
 # The interval sum's reach.  Truth tables of maps on T are int64 bitsets over
 # T's points, and the sum visits |M(T)|^2 pairs: at 10^4 maps that is 10^8
@@ -131,13 +142,15 @@ class TwoAdicPolynomial:
 
 class MemoCache:
     """The engine's one memo table.  It holds both kinds of residual key: the
-    literal (dim, membership bitset) of a projected residual, and the
-    canonical form of a connected one.
+    literal key of a projected residual, an int (see _literal_key), and the
+    canonical form of a large connected one, bytes.
 
-    Unbounded by default; with maxsize set, it evicts the least recently
-    used entry, so maxsize bounds every entry the engine stores.  hits and
-    misses are running statistics over literal and canonical lookups alike.
-    Not thread-safe: share one instance between calls on one thread only.
+    Unbounded by default, and then a plain dict; with maxsize set, an
+    OrderedDict that evicts the least recently used entry, so maxsize bounds
+    every entry the engine stores.  hits and misses are running statistics
+    over literal and canonical lookups alike.  A value of None reads as a
+    miss; the engine stores counts, which are positive.  Not thread-safe:
+    share one instance between calls on one thread only.
     """
 
     def __init__(self, maxsize: int | None = None):
@@ -146,16 +159,17 @@ class MemoCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict = OrderedDict()
+        self._data: dict = {} if maxsize is None else OrderedDict()
 
     def get(self, key):
-        if key in self._data:
+        value = self._data.get(key)
+        if value is None:
+            self.misses += 1
+        else:
             self.hits += 1
             if self.maxsize is not None:
                 self._data.move_to_end(key)
-            return self._data[key]
-        self.misses += 1
-        return None
+        return value
 
     def put(self, key, value) -> None:
         self._data[key] = value
@@ -295,8 +309,8 @@ class _EngineRun:
         )
         self.nodes = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
+    def tick(self, nodes: int = 1) -> None:
+        self.nodes += nodes
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 f"engine node budget exceeded ({self.max_nodes} nodes)"
@@ -362,14 +376,42 @@ def _select_pivot(masks: list[int], bits: int, dim: int) -> int:
     )
 
 
+def _literal_key(bits: int, dim: int) -> int:
+    """The memo key of the point set bits of E^dim, exact at any dimension:
+    the bit above the membership bitset marks the dimension."""
+    return bits | 1 << (1 << dim)
+
+
+def _count_small(bits: int, dim: int) -> int:
+    """D of the point set bits of E^dim by a plain DFS, for small sets.  The
+    least point of a set is minimal in it, so setting it to 0 forces only
+    itself and setting it to 1 forces its up-set; a least point with nothing
+    above it is isolated and doubles the count."""
+    up_t = _updown_tables(dim)[0]
+    total = 0
+    stack = [(bits, 1)]
+    while stack:
+        rest, weight = stack.pop()
+        while rest:
+            low = rest & -rest
+            above = up_t[low.bit_length() - 1] & rest
+            if above != low:
+                stack.append((rest & ~above, weight))
+            else:
+                weight <<= 1
+            rest ^= low
+        total += weight
+    return total
+
+
 def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
     """D of the point set bits of E^dim."""
     k = bits.bit_count()
-    if k == 0:
-        return 1
-    if k == 1:
-        return 2
+    if k <= 1:
+        return k + 1
     run.tick()
+    if k <= _DIRECT_MAX_POINTS:
+        return _count_small(bits, dim)
 
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
@@ -384,10 +426,9 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
         for m in masks:
             bits |= 1 << m
 
-    # the literal key: exact for this projected residual at any dimension
     literal_key = None
     if run.use_cache:
-        literal_key = (dim, bits)
+        literal_key = _literal_key(bits, dim)
         cached = run.cache.get(literal_key)
         if cached is not None:
             return cached
@@ -401,7 +442,7 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
             result *= _count_bits(comp, dim, run)
     else:
         key = None
-        if run.use_cache and dim <= CANONICAL_DIM_CAP:
+        if run.use_cache and k >= _CANONICAL_MIN_POINTS and dim <= CANONICAL_DIM_CAP:
             key = _canonical_payload(masks, dim, True)
             cached = run.cache.get(key)
             if cached is not None:
@@ -479,16 +520,23 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     pairs.  Each row a of
     the pair sum spends one engine node, as each walk decision does, so the
     deadline goes unchecked only through the below/above pass (0.16 s over
-    the 7,581 maps of E^5 on a 2-vCPU host).  At 10^4 maps and below every
+    the 7,581 maps of E^5 on a 2-vCPU host).  The walk's decisions are
+    charged once the walk has ended under INTERVAL_MAX_MAPS; a walk that
+    reaches the cap is dropped uncharged.  At 10^4 maps and below every
     partial sum stays far inside int64."""
     T = _product_factor(S)
     if T is None or len(T) > INTERVAL_MAX_POINTS or len(_components(T.bitset, T.dim)) > 1:
         return None
+    # the walk counts its decisions apart, so that a walk that reaches the
+    # cap leaves the engine that follows all of the node budget
+    walk = _EngineRun(None, False, None, None)
+    walk.deadline = run.deadline
     ups = []
-    for ones, _ in _pivot_maps(T, run):
+    for ones, _ in _pivot_maps(T, walk):
         if len(ups) == INTERVAL_MAX_MAPS:
             return None
         ups.append(_extract_bits(ones, T.bitset))
+    run.tick(walk.nodes)
     maps = np.sort(np.array(ups, np.int64))
     k = len(maps)
     rows = max(1, _INTERVAL_BLOCK_PAIRS // k)
@@ -642,7 +690,8 @@ def count_via_partition(
 
     strategy selects the top-level pivot.  "single" is the engine: it
     recurses on one median-weight point of maximal comparability degree at
-    every level, memoized in cache.  "auto" (default) splits S = T x E^2
+    every level, memoized in cache, and counts a residual of at most a few
+    points directly, without the memo.  "auto" (default) splits S = T x E^2
     by its two product coordinates into the interval sum over pairs (a, b)
     of monotone maps on T of (maps under a meet b) * (maps over a join b),
     with T's maps listed by the pivot walk, when T is order-connected with
@@ -658,11 +707,12 @@ def count_via_partition(
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
-    engine, the decisions of a pivot walk (an explicit pivot's, or the walk
-    listing M(T), |M(T)| - 1 of them), one per row a of the interval sum,
-    and the distinct states of the layer walk; an "auto" run whose T has
-    more than INTERVAL_MAX_MAPS maps leaves the interval sum for the engine
-    and keeps the nodes its walk spent.  A negative max_nodes, or a
+    engine (a direct count of a small residual is one step), the decisions
+    of a pivot walk (an explicit pivot's, or the walk listing M(T),
+    |M(T)| - 1 of them), one per row a of the interval sum, and the distinct
+    states of the layer walk; an "auto" run whose T has more than
+    INTERVAL_MAX_MAPS maps leaves the interval sum for the engine, and the
+    walk it stopped is not charged.  A negative max_nodes, or a
     budget_seconds that is negative or NaN, raises ValueError.
     """
     run = _EngineRun(

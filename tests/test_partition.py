@@ -395,6 +395,91 @@ class TestEngine:
                 assert count_via_partition(S, A) == expected
 
 
+def small_sets(rng) -> list[Subposet]:
+    """Seeded sets of at most _DIRECT_MAX_POINTS points in E^4..E^7: random
+    picks, chains, antichains of one weight, and fences zigzagging between
+    weights one and two."""
+    cap = partition_module._DIRECT_MAX_POINTS
+    sets = []
+    for n in range(4, 8):
+        for _ in range(12):
+            k = rng.randint(2, cap)
+            sets.append(Subposet(n, tuple(rng.sample(range(1 << n), k))))
+        order = rng.sample(range(n), n)
+        chain = [sum(1 << c for c in order[:w]) for w in range(n + 1)]
+        sets.append(Subposet(n, tuple(chain[:cap])))
+        for w in range(1, n):
+            layer = [m for m in range(1 << n) if m.bit_count() == w]
+            sets.append(Subposet(n, tuple(rng.sample(layer, min(cap, len(layer))))))
+        zigzag = []
+        for c in range(n - 1):
+            zigzag += [1 << order[c], 1 << order[c] | 1 << order[c + 1]]
+        sets.append(Subposet(n, tuple(zigzag[:cap])))
+    return sets
+
+
+class CanonicalTierCache(MemoCache):
+    """A MemoCache that also counts its hits on canonical (bytes) keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.canonical_hits = 0
+
+    def get(self, key):
+        value = super().get(key)
+        if value is not None and isinstance(key, bytes):
+            self.canonical_hits += 1
+        return value
+
+
+class TestMemoPolicy:
+    def test_direct_count_matches_oracle_on_every_e3_subset(self):
+        for bits in range(1 << 8):
+            S = Subposet(3, tuple(m for m in range(8) if bits >> m & 1))
+            assert partition_module._count_small(bits, 3) == count_monotone_oracle(S)
+
+    def test_direct_count_matches_oracle_on_small_sets(self, rng):
+        for S in small_sets(rng):
+            assert len(S) <= partition_module._DIRECT_MAX_POINTS
+            assert partition_module._count_small(S.bitset, S.dim) == count_monotone_oracle(S)
+
+    def test_small_residual_spends_one_node_and_no_entry(self, rng):
+        for S in small_sets(rng):
+            cache = MemoCache()
+            assert count_via_partition(S, "single", cache=cache, max_nodes=1) == (
+                count_monotone_oracle(S)
+            )
+            assert len(cache) == 0 and cache.stats() == {"hits": 0, "misses": 0}
+            with pytest.raises(BudgetExceededError):
+                count_via_partition(S, "single", max_nodes=0)
+
+    def test_canonical_keys_only_from_the_floor(self, rng, monkeypatch):
+        sizes = []
+        payload = partition_module._canonical_payload
+
+        def spy(masks, dim, fold_duality):
+            sizes.append(len(masks))
+            return payload(masks, dim, fold_duality)
+
+        monkeypatch.setattr(partition_module, "_canonical_payload", spy)
+        cache = CanonicalTierCache()
+        assert count_via_partition(Subposet.cube(6), "single", cache=cache) == PINNED_DEDEKIND[6]
+        # the canonical tier still finds hits on E^6, so it is not
+        # switched off by the floor
+        assert cache.canonical_hits > 0
+        for S in [cube_residual(rng, 7) for _ in range(3)] + [random_subposet(rng, 6)]:
+            assert count_via_partition(S, "single") == count_via_partition(S, "single", use_cache=False)
+        assert sizes and min(sizes) >= partition_module._CANONICAL_MIN_POINTS
+
+    def test_literal_keys_distinct_up_to_dim_4(self):
+        keys = {
+            partition_module._literal_key(bits, dim)
+            for dim in range(5)
+            for bits in range(1 << (1 << dim))
+        }
+        assert len(keys) == sum(1 << (1 << dim) for dim in range(5))
+
+
 def product_with_square(n: int, i: int, j: int, t_masks) -> Subposet:
     """T x E^2 in E^n: T's masks spread over the coordinates other than i
     and j, each point taken with all four values of coordinates i and j."""
@@ -505,9 +590,13 @@ class TestIntervalSum:
         antichain = [m for m in range(64) if m.bit_count() == 3][:14]
         S = product_with_square(8, 0, 7, [0] + antichain)
         assert (1 << 14) + 1 > partition_module.INTERVAL_MAX_MAPS
-        assert interval_sum(S) is None
+        run = fresh_run()
+        assert partition_module._interval_sum(S, run) is None
+        # the discarded walk is not charged, so the default fits the node
+        # budget "single" needs on S: 215,687 nodes, measured
+        assert run.nodes == 0
         expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
-        assert count_via_partition(S) == expected
+        assert count_via_partition(S, max_nodes=215_687) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
         # the walk's forced-to-1 regions, narrowed to A's points, are the
@@ -767,14 +856,17 @@ class TestMemoCache:
         assert len(cache) == 1
 
     def test_lru_eviction(self):
-        cache = MemoCache(maxsize=2)
-        cache.put(b"a", 1)
-        cache.put(b"b", 2)
-        assert cache.get(b"a") == 1  # refresh a
-        cache.put(b"c", 3)  # evicts b
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") == 1
-        assert cache.get(b"c") == 3
+        # bytes are canonical keys, ints literal ones
+        for a, b, c in ((b"a", b"b", b"c"), (17, 18, 19)):
+            cache = MemoCache(maxsize=2)
+            cache.put(a, 1)
+            cache.put(b, 2)
+            assert cache.get(a) == 1  # refresh a
+            cache.put(c, 3)  # evicts b
+            assert cache.get(b) is None
+            assert cache.get(a) == 1
+            assert cache.get(c) == 3
+            assert len(cache) == 2
 
     def test_clear_resets_everything(self):
         cache = MemoCache()

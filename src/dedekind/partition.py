@@ -5,18 +5,18 @@ maps on S split by their restriction to A, so D(S) is the sum over monotone
 f on A of D(S minus the region f forces).  A single-point pivot gives the
 two-branch recursion; alternating-weight layer pivots force every residual
 down to an antichain, turning D(E^n) into an exact polynomial in powers of
-two.  The engine counts residuals of a few points directly, memoizes the
-rest by their membership bitset and the large connected ones also under cube
+two.  The engine counts residuals of a few points directly, splits
+order-disconnected residuals multiplicatively, and memoizes each connected
+one under one key: the large ones by their canonical form under cube
 symmetry (coordinate permutations, optionally folded with global
-complementation, which reverses the order and preserves counts), and splits
-order-disconnected residuals multiplicatively.  A residual's canonical key
-is its least image over the symmetries that sort its coordinates by a
-weight-histogram invariant, a partition refinement in the style of McKay and
-Piperno, so a key searches a handful of the 2*d! symmetries rather than all
-of them.  A product T x E^2
-with T order-connected, every full cube from E^2 up among them, is counted
-without the engine by the interval sum over pairs of monotone maps on T
-(Wiedemann, Order 8, 1991).
+complementation, which reverses the order and preserves counts), the rest
+by their membership bitset.  A residual's canonical key is its least image
+over the symmetries that sort its coordinates by a weight-histogram
+invariant, a partition refinement in the style of McKay and Piperno, so a
+key searches a handful of the 2*d! symmetries rather than all of them.  A
+product T x E^2 with T order-connected, every full cube from E^2 up among
+them, is counted without the engine by the interval sum over pairs of
+monotone maps on T (Wiedemann, Order 8, 1991).
 
 Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
@@ -70,10 +70,10 @@ CANONICAL_DIM_CAP = 7
 
 # The engine keeps its memo where the memo pays.  A residual of at most
 # _DIRECT_MAX_POINTS points is counted by a small DFS, with no projection,
-# no lookup and no entry; a connected residual gets a canonical key only
-# from _CANONICAL_MIN_POINTS points up.  Below that floor a key costs more
-# than the hits it finds save.  Both come from the sweep in
-# BENCH_memo_policy.json.
+# no lookup and no entry; a connected residual is keyed canonically only
+# from _CANONICAL_MIN_POINTS points up, and literally below.  Below that
+# floor a canonical key costs more than the hits it finds save.  Both come
+# from the sweep in BENCH_memo_policy.json.
 _DIRECT_MAX_POINTS = 10
 _CANONICAL_MIN_POINTS = 20
 
@@ -141,9 +141,10 @@ class TwoAdicPolynomial:
 
 
 class MemoCache:
-    """The engine's one memo table.  It holds both kinds of residual key: the
-    literal key of a projected residual, an int (see _literal_key), and the
-    canonical form of a large connected one, bytes.
+    """The engine's one memo table.  The engine stores each connected
+    residual it pivots on under one key: its canonical form, bytes, when it
+    is large and of dimension at most CANONICAL_DIM_CAP, and otherwise the
+    literal key of the projected residual, an int (see _literal_key).
 
     Unbounded by default, and then a plain dict; with maxsize set, an
     OrderedDict that evicts the least recently used entry, so maxsize bounds
@@ -291,18 +292,18 @@ def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
 
 
 class _EngineRun:
-    """Mutable per-call state: cache handles, budgets, node statistics."""
+    """Mutable per-call state: the memo (None for no memo), budgets, node
+    statistics."""
 
-    __slots__ = ("cache", "use_cache", "max_nodes", "deadline", "nodes")
+    __slots__ = ("cache", "max_nodes", "deadline", "nodes")
 
-    def __init__(self, cache: MemoCache | None, use_cache: bool, max_nodes, budget_seconds):
+    def __init__(self, cache: MemoCache | None, max_nodes, budget_seconds):
         if max_nodes is not None and max_nodes < 0:
             raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         # written so that NaN fails too
         if budget_seconds is not None and not budget_seconds >= 0:
             raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
         self.cache = cache
-        self.use_cache = use_cache
         self.max_nodes = max_nodes
         self.deadline = (
             time.monotonic() + budget_seconds if budget_seconds is not None else None
@@ -330,12 +331,7 @@ def _components(bits: int, dim: int) -> list[int]:
         comp = 0
         while frontier:
             comp |= frontier
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= near[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & bits & ~comp
+            frontier = _reach(frontier, near) & bits & ~comp
         rest &= ~comp
         comps.append(comp)
     return comps
@@ -405,13 +401,23 @@ def _count_small(bits: int, dim: int) -> int:
 
 
 def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
-    """D of the point set bits of E^dim."""
+    """D of the point set bits of E^dim.  A residual of a few points is
+    counted directly; one of several comparability components is the product
+    of its components' counts, each found in its own call; a connected one is
+    projected, looked up under one key, and pivoted on a miss."""
     k = bits.bit_count()
     if k <= 1:
         return k + 1
     run.tick()
     if k <= _DIRECT_MAX_POINTS:
         return _count_small(bits, dim)
+
+    comps = _components(bits, dim)
+    if len(comps) > 1:
+        result = 1
+        for comp in comps:
+            result *= _count_bits(comp, dim, run)
+        return result
 
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
@@ -426,37 +432,22 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
         for m in masks:
             bits |= 1 << m
 
-    literal_key = None
-    if run.use_cache:
-        literal_key = _literal_key(bits, dim)
-        cached = run.cache.get(literal_key)
+    cache = run.cache
+    if cache is not None:
+        if k >= _CANONICAL_MIN_POINTS and dim <= CANONICAL_DIM_CAP:
+            key = _canonical_payload(masks, dim, True)
+        else:
+            key = _literal_key(bits, dim)
+        cached = cache.get(key)
         if cached is not None:
             return cached
-
-    comps = _components(bits, dim)
-    if len(comps) == k:
-        result = 1 << k  # antichain: every 0/1 assignment is monotone
-    elif len(comps) > 1:
-        result = 1
-        for comp in comps:
-            result *= _count_bits(comp, dim, run)
-    else:
-        key = None
-        if run.use_cache and k >= _CANONICAL_MIN_POINTS and dim <= CANONICAL_DIM_CAP:
-            key = _canonical_payload(masks, dim, True)
-            cached = run.cache.get(key)
-            if cached is not None:
-                run.cache.put(literal_key, cached)
-                return cached
-        pivot = _select_pivot(masks, bits, dim)
-        up_t, down_t = _updown_tables(dim)
-        result = _count_bits(bits & ~up_t[pivot], dim, run) + _count_bits(
-            bits & ~down_t[pivot], dim, run
-        )
-        if key is not None:
-            run.cache.put(key, result)
-    if literal_key is not None:
-        run.cache.put(literal_key, result)
+    pivot = _select_pivot(masks, bits, dim)
+    up_t, down_t = _updown_tables(dim)
+    result = _count_bits(bits & ~up_t[pivot], dim, run) + _count_bits(
+        bits & ~down_t[pivot], dim, run
+    )
+    if cache is not None:
+        cache.put(key, result)
     return result
 
 
@@ -506,7 +497,7 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     """D(S) by the interval sum when S = T x E^2 with T order-connected,
     |T| <= INTERVAL_MAX_POINTS and |M(T)| <= INTERVAL_MAX_MAPS; None
     otherwise.  A T of several components is left to the engine, which
-    multiplies over them (2^k at once for a k-point antichain).
+    multiplies over them.
 
     The four fibres of a monotone map on T x E^2 are monotone maps c <= a, b
     <= d on T, so D(S) is the sum over pairs (a, b) of M(T)^2 of
@@ -529,7 +520,7 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
         return None
     # the walk counts its decisions apart, so that a walk that reaches the
     # cap leaves the engine that follows all of the node budget
-    walk = _EngineRun(None, False, None, None)
+    walk = _EngineRun(None, None, None)
     walk.deadline = run.deadline
     ups = []
     for ones, _ in _pivot_maps(T, walk):
@@ -689,9 +680,11 @@ def count_via_partition(
     """Count monotone maps on S by the recursive partition identity.
 
     strategy selects the top-level pivot.  "single" is the engine: it
-    recurses on one median-weight point of maximal comparability degree at
-    every level, memoized in cache, and counts a residual of at most a few
-    points directly, without the memo.  "auto" (default) splits S = T x E^2
+    counts a residual of at most a few points directly, multiplies over the
+    comparability components of a disconnected one, and recurses on one
+    median-weight point of maximal comparability degree of a connected one,
+    memoized in cache under one key per connected residual (no memo when
+    use_cache is false).  "auto" (default) splits S = T x E^2
     by its two product coordinates into the interval sum over pairs (a, b)
     of monotone maps on T of (maps under a meet b) * (maps over a join b),
     with T's maps listed by the pivot walk, when T is order-connected with
@@ -715,9 +708,9 @@ def count_via_partition(
     walk it stopped is not charged.  A negative max_nodes, or a
     budget_seconds that is negative or NaN, raises ValueError.
     """
-    run = _EngineRun(
-        cache if cache is not None else MemoCache(), use_cache, max_nodes, budget_seconds
-    )
+    if use_cache and cache is None:
+        cache = MemoCache()
+    run = _EngineRun(cache if use_cache else None, max_nodes, budget_seconds)
 
     if isinstance(strategy, Subposet):
         _validate_subset(strategy, S)
@@ -1013,5 +1006,5 @@ def decompose_power_of_two(
     builds the polynomial, and each state spends one engine node.
     """
     A = construct_layer_subset(n, parity)
-    run = _EngineRun(None, False, max_nodes, budget_seconds)
+    run = _EngineRun(None, max_nodes, budget_seconds)
     return _layer_polynomial(A, parity, run)

@@ -237,7 +237,7 @@ def pivot_pool(rng) -> list[Subposet]:
 
 
 def fresh_run():
-    return partition_module._EngineRun(None, False, None, None)
+    return partition_module._EngineRun(None, None, None)
 
 
 class TestEngine:
@@ -471,6 +471,36 @@ class TestMemoPolicy:
             assert count_via_partition(S, "single") == count_via_partition(S, "single", use_cache=False)
         assert sizes and min(sizes) >= partition_module._CANONICAL_MIN_POINTS
 
+    def test_disconnected_residual_not_stored(self):
+        # 14 disjoint squares: each is a direct count, and their product is
+        # neither looked up nor stored
+        antichain = [m for m in range(64) if m.bit_count() == 3][:14]
+        S = product_with_square(8, 0, 7, antichain)
+        cache = MemoCache()
+        assert count_via_partition(S, "single", cache=cache) == 6 ** 14
+        assert len(cache) == 0 and cache.stats() == {"hits": 0, "misses": 0}
+
+    def test_one_key_per_connected_residual(self, monkeypatch):
+        # a residual keyed canonically is not stored under its literal key
+        # too, and the one key still finds every hit: E^6 spends the 2,895
+        # nodes it spent with both keys
+        literal = []
+        payload = partition_module._canonical_payload
+
+        def spy(masks, dim, fold_duality):
+            bits = sum(1 << m for m in masks)
+            literal.append(partition_module._literal_key(bits, dim))
+            return payload(masks, dim, fold_duality)
+
+        monkeypatch.setattr(partition_module, "_canonical_payload", spy)
+        cube, cache = Subposet.cube(6), MemoCache()
+        assert count_via_partition(cube, "single", cache=cache, max_nodes=2895) == (
+            PINNED_DEDEKIND[6]
+        )
+        assert literal and all(cache.get(key) is None for key in literal)
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(cube, "single", max_nodes=2894)
+
     def test_literal_keys_distinct_up_to_dim_4(self):
         keys = {
             partition_module._literal_key(bits, dim)
@@ -506,8 +536,7 @@ def interval_sum(S: Subposet, **budget):
     """partition._interval_sum on a fresh run: D(S), or None where the
     interval sum does not apply."""
     return partition_module._interval_sum(
-        S, partition_module._EngineRun(None, False, budget.get("max_nodes"),
-                                       budget.get("budget_seconds"))
+        S, partition_module._EngineRun(None, budget.get("max_nodes"), budget.get("budget_seconds"))
     )
 
 
@@ -578,7 +607,7 @@ class TestIntervalSum:
         run = fresh_run()
         assert partition_module._interval_sum(S, run) is None
         assert run.nodes == 0
-        single = partition_module._EngineRun(MemoCache(), True, None, None)
+        single = partition_module._EngineRun(MemoCache(), None, None)
         assert partition_module._count_bits(S.bitset, S.dim, single) == 6 ** 14
         assert count_via_partition(S, max_nodes=single.nodes) == 6 ** 14
 
@@ -593,10 +622,10 @@ class TestIntervalSum:
         run = fresh_run()
         assert partition_module._interval_sum(S, run) is None
         # the discarded walk is not charged, so the default fits the node
-        # budget "single" needs on S: 215,687 nodes, measured
+        # budget "single" needs on S: 227,444 nodes, measured
         assert run.nodes == 0
         expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
-        assert count_via_partition(S, max_nodes=215_687) == expected
+        assert count_via_partition(S, max_nodes=227_444) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
         # the walk's forced-to-1 regions, narrowed to A's points, are the

@@ -5,10 +5,9 @@ Exit codes are a stable contract: 0 success, 1 property failure, 2 input
 error, 3 budget exceeded or run stopped (recursion limit, out of memory,
 interrupt), 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
-deterministic part of a report (everything except elapsed_ms, the memo
-table's hit and miss counts, and the threads echo) is byte-identical across
-thread counts.  DEDEKIND_THREADS sets the thread count every report echoes;
-count's --threads flag wins over it.
+deterministic part of a report (everything except elapsed_ms and the memo
+table's hit and miss counts) is byte-identical across repeats.  Counting
+runs on one thread; count accepts --threads N >= 1 and ignores it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -51,17 +49,6 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _threads_default() -> int:
-    raw = os.environ.get("DEDEKIND_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PosetParseError(f"DEDEKIND_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise PosetParseError(f"DEDEKIND_THREADS must be positive, got {value}")
-    return value
-
-
 def _witness_dict(w) -> dict:
     return {
         "apex": str(w.apex),
@@ -94,6 +81,8 @@ def _load_subposet(path: str) -> Subposet:
 
 
 def _cmd_count(args) -> tuple[dict, list[str], int]:
+    if args.threads < 1:
+        raise PosetParseError("--threads must be positive")
     if (args.n is None) == (args.poset is None):
         raise PosetParseError("count needs exactly one of --n or --poset")
     if args.n is not None:
@@ -112,7 +101,6 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
         S,
         strategy,
         cache=cache,
-        use_cache=not args.no_cache,
         max_nodes=args.max_nodes,
         budget_seconds=args.budget_seconds,
     )
@@ -230,8 +218,10 @@ def _verify_lemma2(args, rng, lines, failures):
                 for bits in range(1 << size)]
         label = f"exhaustive over {len(pool)} subsets"
     else:
-        pool = [tuple(m for m in range(size) if rng.random() < rng.uniform(0.2, 0.9))
-                for _ in range(args.samples)]
+        pool = []
+        for _ in range(args.samples):
+            density = rng.uniform(0.2, 0.9)
+            pool.append(tuple(m for m in range(size) if rng.random() < density))
         pool += [construct_layer_subset(args.n, p).masks for p in ("even", "odd")]
         label = f"{len(pool)} sampled subsets"
     checked = violations = 0
@@ -381,9 +371,7 @@ def _cmd_check_complete(args) -> tuple[dict, list[str], int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dedekind",
-        description="Exact counting of monotone 0/1 maps on subposets of the n-cube.",
-        epilog="DEDEKIND_THREADS sets the thread count every report echoes; "
-               "count's --threads wins.")
+        description="Exact counting of monotone 0/1 maps on subposets of the n-cube.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("count", help="count monotone maps on a cube or a poset file")
@@ -394,9 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="counting strategy: auto (default) takes the interval sum "
                         "for products T x E^2 and the engine elsewhere; single "
                         "pins the engine")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the memo table")
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored, as counting runs on one thread; must be >= 1")
     p.add_argument("--max-nodes", type=int, default=None,
                    help="abort after this many engine nodes (exit 3)")
     p.add_argument("--budget-seconds", type=float, default=None,
@@ -449,14 +436,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is None:
-            args.threads = _threads_default()
-        if args.threads < 1:
-            raise PosetParseError("--threads must be positive")
         start = time.monotonic()
         report, lines, code = args.handler(args)
         elapsed_ms = int((time.monotonic() - start) * 1000)
-        report["threads"] = args.threads
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

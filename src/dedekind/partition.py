@@ -8,9 +8,9 @@ down to an antichain, turning D(E^n) into an exact polynomial in powers of
 two.  The engine counts residuals of a few points directly, splits
 order-disconnected residuals multiplicatively, and memoizes each connected
 one under one key: the large ones by their canonical form under cube
-symmetry (coordinate permutations, optionally folded with global
-complementation, which reverses the order and preserves counts), the rest
-by their membership bitset.  A residual's canonical key is its least image
+symmetry (coordinate permutations folded with global complementation,
+which reverses the order and preserves counts), the rest by their
+membership bitset.  A residual's canonical key is its least image
 over the symmetries that sort its coordinates by a weight-histogram
 invariant, a partition refinement in the style of McKay and Piperno, so a
 key searches a handful of the 2*d! symmetries rather than all of them.  A
@@ -233,7 +233,7 @@ def _coordinate_weights(dim: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.ndarray:
+def _candidate_transforms(memb: np.ndarray, dim: int) -> np.ndarray:
     """The rows of _symmetry_tables(dim) whose images of the set (memb is
     its membership vector) list the coordinates in ascending invariant
     order (see _coordinate_weights), in the orientation whose sorted
@@ -245,8 +245,7 @@ def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.
     tables = _symmetry_tables(dim)
     half = tables.shape[0] // 2
     inv = (memb @ _coordinate_weights(dim)).tolist()
-    pairs = ((inv[:dim], 0), (inv[dim:], half)) if fold_duality else ((inv[:dim], 0),)
-    keyed = [(sorted(vec), vec, base) for vec, base in pairs]
+    keyed = [(sorted(vec), vec, base) for vec, base in ((inv[:dim], 0), (inv[dim:], half))]
     least = min(keyed)[0]
     orientations = [(vec, base) for key, vec, base in keyed if key == least]
     if len(set(inv[:dim])) <= 1:
@@ -264,15 +263,15 @@ def _candidate_transforms(memb: np.ndarray, dim: int, fold_duality: bool) -> np.
     return tables[rows]
 
 
-def _canonical_payload(masks: list[int], dim: int, fold_duality: bool) -> bytes:
+def _canonical_payload(masks: list[int], dim: int) -> bytes:
     memb = np.zeros(1 << dim, dtype=np.uint8)
     memb[masks] = 1
-    images = np.packbits(memb[_candidate_transforms(memb, dim, fold_duality)], axis=1)
+    images = np.packbits(memb[_candidate_transforms(memb, dim)], axis=1)
     return b"\x00" + bytes([dim]) + min(map(bytes, images))
 
 
-def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
-    """Canonical form of S under cube symmetry, optionally folded with global
+def canonical_key(S: Subposet) -> bytes:
+    """Canonical form of S under cube symmetry folded with global
     complementation (which folds each subposet with its dual): equal keys
     exactly when one set maps to the other.  The key is the least membership
     bitset over the images that list the coordinates in ascending order of
@@ -280,11 +279,10 @@ def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
     coordinate), taken in the orientation, S or its dual, whose sorted
     invariants are least; it is not the least image over every permutation.
     Above CANONICAL_DIM_CAP the key is S's own membership bitset, an identity
-    key that is equal only for equal sets.  Keys are comparable only between
-    calls with the same fold_duality setting."""
+    key that is equal only for equal sets."""
     if S.dim > CANONICAL_DIM_CAP:
         return b"\x01" + bytes([S.dim]) + S.bitset.to_bytes(1 << (S.dim - 3), "little")
-    return _canonical_payload(list(S.masks), S.dim, fold_duality)
+    return _canonical_payload(list(S.masks), S.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +290,8 @@ def canonical_key(S: Subposet, *, fold_duality: bool = True) -> bytes:
 
 
 class _EngineRun:
-    """Mutable per-call state: the memo (None for no memo), budgets, node
-    statistics."""
+    """Mutable per-call state: the engine's memo (None on the pivot walks'
+    own runs, which never reach the engine), budgets, node statistics."""
 
     __slots__ = ("cache", "max_nodes", "deadline", "nodes")
 
@@ -432,22 +430,19 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
         for m in masks:
             bits |= 1 << m
 
-    cache = run.cache
-    if cache is not None:
-        if k >= _CANONICAL_MIN_POINTS and dim <= CANONICAL_DIM_CAP:
-            key = _canonical_payload(masks, dim, True)
-        else:
-            key = _literal_key(bits, dim)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
+    if k >= _CANONICAL_MIN_POINTS and dim <= CANONICAL_DIM_CAP:
+        key = _canonical_payload(masks, dim)
+    else:
+        key = _literal_key(bits, dim)
+    cached = run.cache.get(key)
+    if cached is not None:
+        return cached
     pivot = _select_pivot(masks, bits, dim)
     up_t, down_t = _updown_tables(dim)
     result = _count_bits(bits & ~up_t[pivot], dim, run) + _count_bits(
         bits & ~down_t[pivot], dim, run
     )
-    if cache is not None:
-        cache.put(key, result)
+    run.cache.put(key, result)
     return result
 
 
@@ -508,9 +503,9 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     and the pair sum takes b from a's block of rows on, so by symmetry it
     computes each unordered pair once outside the blocks' diagonal squares;
     both run in numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS
-    pairs.  Each row a of
-    the pair sum spends one engine node, as each walk decision does, so the
-    deadline goes unchecked only through the below/above pass (0.16 s over
+    pairs.  Each row a of the pair sum spends one engine node, as each walk
+    decision does, charged a block at a time before the block is summed, so
+    the deadline goes unchecked only through the below/above pass (0.16 s over
     the 7,581 maps of E^5 on a 2-vCPU host).  The walk's decisions are
     charged once the walk has ended under INTERVAL_MAX_MAPS; a walk that
     reaches the cap is dropped uncharged.  At 10^4 maps and below every
@@ -540,8 +535,7 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     total = 0
     for r0 in range(0, k, rows):
         a = maps[r0 : r0 + rows, None]
-        for _ in range(len(a)):
-            run.tick()
+        run.tick(len(a))
         b = maps[None, r0:]
         w = below[np.searchsorted(maps, a & b)] * above[np.searchsorted(maps, a | b)]
         # the sum is over ordered pairs: a pair with b past the block's rows
@@ -673,7 +667,6 @@ def count_via_partition(
     strategy: PivotStrategy = "auto",
     *,
     cache: MemoCache | None = None,
-    use_cache: bool = True,
     max_nodes: int | None = None,
     budget_seconds: float | None = None,
 ) -> int:
@@ -683,20 +676,18 @@ def count_via_partition(
     counts a residual of at most a few points directly, multiplies over the
     comparability components of a disconnected one, and recurses on one
     median-weight point of maximal comparability degree of a connected one,
-    memoized in cache under one key per connected residual (no memo when
-    use_cache is false).  "auto" (default) splits S = T x E^2
-    by its two product coordinates into the interval sum over pairs (a, b)
-    of monotone maps on T of (maps under a meet b) * (maps over a join b),
-    with T's maps listed by the pivot walk, when T is order-connected with
-    at most INTERVAL_MAX_POINTS points and at most INTERVAL_MAX_MAPS maps;
-    elsewhere it is the engine.  "layer" pivots on the even-weight layer
-    subset of a full cube, making every residual an antichain, and returns
-    the value at 2 of the residual-size polynomial decompose_power_of_two
-    builds (the antichain check runs once, before the walk).  A Subposet
-    pivots on that explicit subset once, then counts each residual with the
-    engine.  The interval sum and "layer" leave cache unused.  All
-    strategies are exact and agree; they differ only in work.  Counting
-    runs on the calling thread.
+    memoized in cache under one key per connected residual.  "auto"
+    (default) splits S = T x E^2 by its two product coordinates into the
+    interval sum over pairs (a, b) of monotone maps on T of (maps under a
+    meet b) * (maps over a join b), with T's maps listed by the pivot walk,
+    when T is order-connected with at most INTERVAL_MAX_POINTS points and at
+    most INTERVAL_MAX_MAPS maps; elsewhere it is the engine.  "layer" takes
+    a full cube E^n and returns decompose_power_of_two(n, "even").value(),
+    which pivots on the even-weight layer and so leaves only antichain
+    residuals.  A Subposet pivots on that explicit subset once, then counts
+    each residual with the engine.  The interval sum and "layer" leave cache
+    unused.  All strategies are exact and agree; they differ only in work.
+    Counting runs on the calling thread.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
@@ -708,9 +699,13 @@ def count_via_partition(
     walk it stopped is not charged.  A negative max_nodes, or a
     budget_seconds that is negative or NaN, raises ValueError.
     """
-    if use_cache and cache is None:
-        cache = MemoCache()
-    run = _EngineRun(cache if use_cache else None, max_nodes, budget_seconds)
+    if strategy == "layer":
+        if S != Subposet.cube(S.dim):
+            raise ValueError("layer strategy requires the full cube")
+        return decompose_power_of_two(
+            S.dim, "even", max_nodes=max_nodes, budget_seconds=budget_seconds
+        ).value()
+    run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)
 
     if isinstance(strategy, Subposet):
         _validate_subset(strategy, S)
@@ -722,13 +717,6 @@ def count_via_partition(
     if strategy == "auto":
         value = _interval_sum(S, run)
         return value if value is not None else _count_bits(S.bitset, S.dim, run)
-    if strategy == "layer":
-        if S != Subposet.cube(S.dim):
-            raise ValueError("layer strategy requires the full cube")
-        if S.dim < 2:
-            raise ValueError("layer strategy requires dimension >= 2")
-        A = construct_layer_subset(S.dim, "even")
-        return _layer_polynomial(A, "even", run).value()
     if strategy == "single":
         return _count_bits(S.bitset, S.dim, run)
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,5 +1,5 @@
 """The command-line front end: output shapes, exit codes, determinism, and
-the thread-count environment knob."""
+the argument shapes the benchmark passes."""
 
 import json
 
@@ -9,11 +9,6 @@ import dedekind.cli as cli_module
 import dedekind.partition as partition_module
 from dedekind.cli import main
 from dedekind.poset import Subposet, find_v3
-
-
-@pytest.fixture(autouse=True)
-def clean_thread_env(monkeypatch):
-    monkeypatch.delenv("DEDEKIND_THREADS", raising=False)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -30,7 +25,7 @@ def write_poset(tmp_path, name: str, S: Subposet) -> str:
 
 def stripped(report: dict) -> dict:
     return {k: v for k, v in report.items()
-            if k not in ("elapsed_ms", "cache", "threads")}
+            if k not in ("elapsed_ms", "cache")}
 
 
 class TestCount:
@@ -59,7 +54,7 @@ class TestCount:
         assert report["n"] == 4
         assert report["result"] == "168"
         assert int(report["result"]) == 168
-        assert report["threads"] == 1
+        assert "threads" not in report
         assert set(report["cache"]) == {"hits", "misses"}
         assert isinstance(report["elapsed_ms"], int)
         assert isinstance(report["input_digest"], str)
@@ -136,9 +131,6 @@ class TestCount:
             assert code == 2
             assert "must be >= 0" in err
 
-    def test_no_cache_same_answer(self, capsys):
-        assert run(capsys, "count", "--n", "4", "--no-cache")[1] == "168\n"
-
     def test_strategies_agree(self, capsys):
         for strategy in ("auto", "single", "layer"):
             assert run(capsys, "count", "--n", "4", "--strategy", strategy)[:2] == (0, "168\n")
@@ -190,9 +182,10 @@ class TestVerify:
         assert "8/8 checks passed" in out
 
     def test_size_law_clean_in_dimension_four(self, capsys):
+        # one density per sampled subset, drawn from [0.2, 0.9]
         code, out, _ = run(capsys, "verify", "--theorem", "lemma2", "--n", "4")
         assert code == 0
-        assert "0 size-law violations" in out
+        assert "52 sampled subsets: 20 complete partitions, 0 size-law violations" in out
 
     def test_size_law_finds_genuine_counterexamples(self, capsys):
         # the exhaustive sweep at n=3 hits the six complete pivots that sit
@@ -430,39 +423,20 @@ class TestDeterminism:
         assert stripped(json.loads(out1)) == stripped(json.loads(out2))
 
 
-class TestThreadEnvironment:
-    def test_env_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEDEKIND_THREADS", "8")
-        _, out, _ = run(capsys, "count", "--n", "3", "--format", "json")
-        assert json.loads(out)["threads"] == 8
-
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEDEKIND_THREADS", "8")
-        _, out, _ = run(capsys, "count", "--n", "3", "--threads", "2",
-                        "--format", "json")
-        assert json.loads(out)["threads"] == 2
-
-    def test_invalid_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEDEKIND_THREADS", "many")
-        assert run(capsys, "count", "--n", "2")[0] == 2
-        monkeypatch.setenv("DEDEKIND_THREADS", "0")
-        assert run(capsys, "count", "--n", "2")[0] == 2
-
-    def test_zero_flag_rejected(self, capsys):
-        assert run(capsys, "count", "--n", "2", "--threads", "0")[0] == 2
-
-    def test_zero_env_rejected_without_flag(self, capsys, monkeypatch, tmp_path):
-        # check-complete has no --threads flag; the env value is still
-        # resolved and validated
-        monkeypatch.setenv("DEDEKIND_THREADS", "0")
-        path = write_poset(tmp_path, "square.txt", Subposet.cube(2))
-        assert run(capsys, "check-complete", "--subset", path)[0] == 2
-
+class TestBenchmarkArgv:
+    # the argument shapes perfbench's cube6_cli runs at n = 6, here at n = 4
     @pytest.mark.parametrize("argv", [
-        ("decompose", "--n", "3"),
-        ("verify", "--theorem", "corollary", "--n", "3"),
+        ("count", "--n", "4", "--threads", "1"),
+        ("count", "--n", "4", "--strategy", "layer", "--threads", "1"),
+        ("decompose", "--n", "4", "--parity", "even"),
+        ("decompose", "--n", "4", "--parity", "odd"),
     ])
-    def test_every_subcommand_echoes_env_threads(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("DEDEKIND_THREADS", "8")
-        _, out, _ = run(capsys, *argv, "--format", "json")
-        assert json.loads(out)["threads"] == 8
+    def test_runs_at_n4(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == "168"
+        assert "threads" not in report
+
+    def test_zero_threads_rejected(self, capsys):
+        assert run(capsys, "count", "--n", "2", "--threads", "0")[0] == 2

@@ -83,7 +83,7 @@ def exhaustive_key(S: Subposet, fold: bool) -> bytes:
     return min(bytes(image) for image in np.packbits(memb[rows], axis=1))
 
 
-def radix_key(S: Subposet, fold: bool) -> bytes:
+def radix_key(S: Subposet) -> bytes:
     """The key as the radix loop took it before it became one min over the
     packed images: the least candidate image, 32 point slots (one
     big-endian word) at a time, keeping only the rows that tie on each
@@ -91,7 +91,7 @@ def radix_key(S: Subposet, fold: bool) -> bytes:
     must agree byte for byte."""
     memb = np.zeros(1 << S.dim, dtype=np.uint8)
     memb[list(S.masks)] = 1
-    surviving = partition_module._candidate_transforms(memb, S.dim, fold)
+    surviving = partition_module._candidate_transforms(memb, S.dim)
     parts = [b"\x00", bytes([S.dim])]
     offset = 0
     while surviving.shape[0] > 1 and offset < surviving.shape[1]:
@@ -105,7 +105,7 @@ def radix_key(S: Subposet, fold: bool) -> bytes:
     return b"".join(parts)
 
 
-def assert_orbits_match_exhaustive(rng, sets, fold: bool) -> None:
+def assert_orbits_match_exhaustive(rng, sets) -> None:
     """Each set, two coordinate relabelings of it and its dual must split
     into the same classes under canonical_key as under exhaustive_key."""
     pairs = set()
@@ -116,7 +116,7 @@ def assert_orbits_match_exhaustive(rng, sets, fold: bool) -> None:
             rng.shuffle(perm)
             family.append(permute_coordinates(S, perm))
         for T in family:
-            pairs.add((canonical_key(T, fold_duality=fold), exhaustive_key(T, fold)))
+            pairs.add((canonical_key(T), exhaustive_key(T, True)))
     # equal keys exactly when equal reference keys: the pairing is a bijection
     assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
 
@@ -279,14 +279,16 @@ class TestEngine:
             count_via_partition(Subposet(2, (0,)), Subposet(2, (3,)))  # pivot not inside
 
     def test_cache_on_off_identical(self, rng):
-        # with the cache off no canonical key is computed, so the E^6
-        # residuals check the engine's memo against plain recursion
+        # the memo against the oracle, which keeps none: one cache is shared
+        # by random sets and the 64 one-point splits of E^5, so isomorphic
+        # splits and their residuals are answered from canonical entries
+        cube = Subposet.cube(5)
         sets = [random_subposet(rng, 4) for _ in range(10)]
-        sets += [cube_residual(rng, 6) for _ in range(8)]
+        sets += [cube.minus(cut(Point(a, 5))) for a in range(32) for cut in (upper_set, lower_set)]
+        cache = CanonicalTierCache()
         for S in sets:
-            assert count_via_partition(S, "single", use_cache=True) == count_via_partition(
-                S, "single", use_cache=False
-            )
+            assert count_via_partition(S, "single", cache=cache) == count_monotone_oracle(S)
+        assert cache.canonical_hits > 0
 
     def test_shared_cache_reuse(self):
         cache = MemoCache()
@@ -457,9 +459,9 @@ class TestMemoPolicy:
         sizes = []
         payload = partition_module._canonical_payload
 
-        def spy(masks, dim, fold_duality):
+        def spy(masks, dim):
             sizes.append(len(masks))
-            return payload(masks, dim, fold_duality)
+            return payload(masks, dim)
 
         monkeypatch.setattr(partition_module, "_canonical_payload", spy)
         cache = CanonicalTierCache()
@@ -467,8 +469,10 @@ class TestMemoPolicy:
         # the canonical tier still finds hits on E^6, so it is not
         # switched off by the floor
         assert cache.canonical_hits > 0
-        for S in [cube_residual(rng, 7) for _ in range(3)] + [random_subposet(rng, 6)]:
-            assert count_via_partition(S, "single") == count_via_partition(S, "single", use_cache=False)
+        # sparse sets of E^6 and E^7, keyed canonically at dims 6 and 7 and
+        # small enough for the oracle
+        for S in [random_subposet(rng, n, 0.45 if n == 6 else 0.2) for n in (6, 7) * 3]:
+            assert count_via_partition(S, "single") == count_monotone_oracle(S)
         assert sizes and min(sizes) >= partition_module._CANONICAL_MIN_POINTS
 
     def test_disconnected_residual_not_stored(self):
@@ -487,10 +491,10 @@ class TestMemoPolicy:
         literal = []
         payload = partition_module._canonical_payload
 
-        def spy(masks, dim, fold_duality):
+        def spy(masks, dim):
             bits = sum(1 << m for m in masks)
             literal.append(partition_module._literal_key(bits, dim))
-            return payload(masks, dim, fold_duality)
+            return payload(masks, dim)
 
         monkeypatch.setattr(partition_module, "_canonical_payload", spy)
         cube, cache = Subposet.cube(6), MemoCache()
@@ -756,10 +760,7 @@ class TestCanonicalKey:
                 perm = list(range(dim))
                 rng.shuffle(perm)
                 T = permute_coordinates(S, perm)
-                for fold in (True, False):
-                    assert canonical_key(S, fold_duality=fold) == canonical_key(
-                        T, fold_duality=fold
-                    )
+                assert canonical_key(S) == canonical_key(T)
                 assert canonical_key(S.dual()) == canonical_key(S)
 
     @settings(max_examples=60, deadline=None)
@@ -770,18 +771,15 @@ class TestCanonicalKey:
         perm = data.draw(st.permutations(range(dim)))
         S = Subposet(dim, tuple(m for m in range(1 << dim) if bits >> m & 1))
         T = permute_coordinates(S, perm)
-        for fold in (True, False):
-            assert canonical_key(T, fold_duality=fold) == canonical_key(S, fold_duality=fold)
+        assert canonical_key(T) == canonical_key(S)
         assert canonical_key(S.dual()) == canonical_key(S)
 
-    @pytest.mark.parametrize("fold", [True, False])
-    def test_orbits_match_exhaustive_key_on_random_sets(self, rng, fold):
+    def test_orbits_match_exhaustive_key_on_random_sets(self, rng):
         for dim, trials in ((4, 40), (5, 30), (6, 20), (7, 10)):
             sets = [random_subposet(rng, dim) for _ in range(trials)]
-            assert_orbits_match_exhaustive(rng, sets, fold)
+            assert_orbits_match_exhaustive(rng, sets)
 
-    @pytest.mark.parametrize("fold", [True, False])
-    def test_orbits_match_exhaustive_key_where_invariants_tie(self, rng, fold):
+    def test_orbits_match_exhaustive_key_where_invariants_tie(self, rng):
         # sets whose coordinates the invariants cannot split, or split only
         # into large classes: the full cube, single weight layers, and the
         # cube minus the up-set of a point of each weight; and a set whose
@@ -795,16 +793,14 @@ class TestCanonicalKey:
             for w in range(dim + 1):
                 sets.append(Subposet(dim, tuple(m for m in cube.masks if m.bit_count() == w)))
                 sets.append(cube.minus(upper_set(Point((1 << w) - 1, dim))))
-            assert_orbits_match_exhaustive(rng, sets, fold)
+            assert_orbits_match_exhaustive(rng, sets)
 
-    @pytest.mark.parametrize("fold", [True, False])
-    def test_orbits_match_exhaustive_key_on_cube_residuals(self, rng, fold):
+    def test_orbits_match_exhaustive_key_on_cube_residuals(self, rng):
         for dim, trials in ((6, 20), (7, 12)):
             sets = [cube_residual(rng, dim) for _ in range(trials)]
-            assert_orbits_match_exhaustive(rng, sets, fold)
+            assert_orbits_match_exhaustive(rng, sets)
 
-    @pytest.mark.parametrize("fold", [True, False])
-    def test_keys_match_radix_reference(self, rng, fold):
+    def test_keys_match_radix_reference(self, rng):
         sets = [random_subposet(rng, dim) for dim, trials in ((5, 30), (6, 20), (7, 10))
                 for _ in range(trials)]
         sets += [cube_residual(rng, dim) for dim, trials in ((6, 20), (7, 12))
@@ -816,7 +812,7 @@ class TestCanonicalKey:
                      for w in range(dim + 1)]
         for S in sets:
             for T in (S, S.dual()):
-                assert canonical_key(T, fold_duality=fold) == radix_key(T, fold)
+                assert canonical_key(T) == radix_key(T)
 
     def test_key_length(self, rng):
         # a kind byte, the dimension, then one bit per point of the image
@@ -824,11 +820,9 @@ class TestCanonicalKey:
             sets = [Subposet.empty(dim), Subposet.cube(dim)]
             sets += [random_subposet(rng, dim) for _ in range(5)]
             for S in sets:
-                for fold in (True, False):
-                    assert len(canonical_key(S, fold_duality=fold)) == 2 + -(-(1 << dim) // 8)
+                assert len(canonical_key(S)) == 2 + -(-(1 << dim) // 8)
 
-    @pytest.mark.parametrize("fold", [True, False])
-    def test_keys_partition_like_brute_orbits(self, fold):
+    def test_keys_partition_like_brute_orbits(self):
         # the brute key: the least sorted mask tuple over every image of S
         # under the symmetries the key claims to fold
         for dim in (0, 1, 2, 3):
@@ -838,9 +832,8 @@ class TestCanonicalKey:
             for bits in range(1 << size):
                 S = Subposet(dim, tuple(m for m in range(size) if bits >> m & 1))
                 images = [permute_coordinates(S, list(p)) for p in perms]
-                if fold:
-                    images += [T.dual() for T in images]
-                pairs.add((canonical_key(S, fold_duality=fold), min(T.masks for T in images)))
+                images += [T.dual() for T in images]
+                pairs.add((canonical_key(S), min(T.masks for T in images)))
             # equal keys exactly when equal brute keys: the pairing is a bijection
             assert len(pairs) == len({k for k, _ in pairs}) == len({b for _, b in pairs})
 
@@ -850,9 +843,6 @@ class TestCanonicalKey:
     def test_duality_folding(self):
         S = Subposet(1, (0,))
         assert canonical_key(S) == canonical_key(S.dual())
-        assert canonical_key(S, fold_duality=False) != canonical_key(
-            S.dual(), fold_duality=False
-        )
 
     def test_distinguishes_chain_from_v_shape(self):
         chain3 = Subposet(2, (0, 1, 3))
@@ -863,9 +853,11 @@ class TestCanonicalKey:
         buckets: dict[bytes, Subposet] = {}
         for _ in range(150):
             S = random_subposet(rng, 3)
-            key = canonical_key(S, fold_duality=False)
+            key = canonical_key(S)
             if key in buckets:
-                assert cover_preserving_isomorphic(buckets[key], S)
+                assert cover_preserving_isomorphic(buckets[key], S) or (
+                    cover_preserving_isomorphic(buckets[key], S.dual())
+                )
             else:
                 buckets[key] = S
 
@@ -1285,6 +1277,21 @@ class TestPowerOfTwoDecomposition:
         with pytest.raises(BudgetExceededError):
             decompose_power_of_two(6, "even", max_nodes=9660)
         assert count_via_partition(Subposet.cube(6), "layer", max_nodes=9661) == D6
+
+    def test_layer_strategy_is_the_even_decomposition(self):
+        # the same value from the same walk: both fit the walk's state count
+        # and both run out one node below it
+        for n in range(2, 7):
+            run = fresh_run()
+            partition_module._residual_sizes(construct_layer_subset(n, "even"), run)
+            cube = Subposet.cube(n)
+            assert count_via_partition(cube, "layer", max_nodes=run.nodes) == (
+                decompose_power_of_two(n, "even", max_nodes=run.nodes).value()
+            ) == PINNED_DEDEKIND[n]
+            with pytest.raises(BudgetExceededError):
+                count_via_partition(cube, "layer", max_nodes=run.nodes - 1)
+            with pytest.raises(BudgetExceededError):
+                decompose_power_of_two(n, "even", max_nodes=run.nodes - 1)
 
     def test_deep_walks_keep_the_budget_contract(self):
         # the walk is |A| = 1024 decisions deep here: it must run out of its

@@ -13,7 +13,7 @@ which reverses the order and preserves counts), the rest by their
 membership bitset.  A residual's canonical key is its least image
 over the symmetries that sort its coordinates by a weight-histogram
 invariant, a partition refinement in the style of McKay and Piperno, so a
-key searches a handful of the 2*d! symmetries rather than all of them.  A
+key builds and compares only those few images, not all 2*d! of them.  A
 product T x E^2 with T order-connected, every full cube from E^2 up among
 them, is counted without the engine by the interval sum over pairs of
 monotone maps on T (Wiedemann, Order 8, 1991).
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
@@ -62,10 +61,11 @@ PINNED_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
 # strictly more sensitive (sound but incomplete on full cubes).
 DEFAULT_COVER_MODE = "ambient"
 
-# The dimension up to which keys fold cube symmetry.  The symmetry table has
-# 2*d! x 2^d entries (10080 x 128 at d = 7) and grows too fast to build
-# beyond; larger sets are keyed by their own membership bitset.  Not an
-# input cap: that is poset.MAX_DIM.
+# The dimension up to which keys fold cube symmetry; larger sets are keyed by
+# their own membership bitset.  At dim 8 folding merged only 22% of 2,000
+# engine residuals (ROADMAP, "Measured and dropped"), and a set whose
+# coordinates all share one invariant has d! candidates, 40,320 at d = 8.
+# Not an input cap: that is poset.MAX_DIM.
 CANONICAL_DIM_CAP = 7
 
 # The engine keeps its memo where the memo pays.  A residual of at most
@@ -141,26 +141,22 @@ class TwoAdicPolynomial:
 
 
 class MemoCache:
-    """The engine's one memo table.  The engine stores each connected
-    residual it pivots on under one key: its canonical form, bytes, when it
-    is large and of dimension at most CANONICAL_DIM_CAP, and otherwise the
-    literal key of the projected residual, an int (see _literal_key).
+    """The engine's one memo table, a plain dict.  The engine stores each
+    connected residual it pivots on under one key: its canonical form,
+    bytes, when it is large and of dimension at most CANONICAL_DIM_CAP, and
+    otherwise the literal key of the projected residual, an int (see
+    _literal_key).
 
-    Unbounded by default, and then a plain dict; with maxsize set, an
-    OrderedDict that evicts the least recently used entry, so maxsize bounds
-    every entry the engine stores.  hits and misses are running statistics
-    over literal and canonical lookups alike.  A value of None reads as a
-    miss; the engine stores counts, which are positive.  Not thread-safe:
-    share one instance between calls on one thread only.
+    Unbounded: every entry stays until clear().  hits and misses are running
+    statistics over literal and canonical lookups alike.  A value of None
+    reads as a miss; the engine stores counts, which are positive.  Not
+    thread-safe: share one instance between calls on one thread only.
     """
 
-    def __init__(self, maxsize: int | None = None):
-        if maxsize is not None and maxsize < 1:
-            raise ValueError("maxsize must be positive or None")
-        self.maxsize = maxsize
+    def __init__(self):
         self.hits = 0
         self.misses = 0
-        self._data: dict = {} if maxsize is None else OrderedDict()
+        self._data: dict = {}
 
     def get(self, key):
         value = self._data.get(key)
@@ -168,16 +164,10 @@ class MemoCache:
             self.misses += 1
         else:
             self.hits += 1
-            if self.maxsize is not None:
-                self._data.move_to_end(key)
         return value
 
     def put(self, key, value) -> None:
         self._data[key] = value
-        if self.maxsize is not None:
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -196,28 +186,6 @@ class MemoCache:
 
 
 @lru_cache(maxsize=None)
-def _symmetry_tables(dim: int) -> np.ndarray:
-    """Point-index transforms of E^dim, shape (2*dim!, 2^dim): slot j of
-    image r holds the set's membership of point [r, j].  The first dim! rows
-    are the coordinate permutations in itertools.permutations order, the
-    rest the same composed with global complementation."""
-    size = 1 << dim
-    bits = ((np.arange(size)[:, None] >> np.arange(dim)[None, :]) & 1).astype(np.int64)
-    perms = list(itertools.permutations(range(dim)))
-    place = np.array([[1 << p[i] for i in range(dim)] for p in perms], dtype=np.int64)
-    transformed = (bits @ place.T).T  # (dim!, size)
-    full = np.concatenate([transformed, (size - 1) - transformed])
-    return np.ascontiguousarray(full, dtype=np.int32)
-
-
-@lru_cache(maxsize=None)
-def _permutation_rows(dim: int) -> dict[tuple[int, ...], int]:
-    """Row of each coordinate permutation in _symmetry_tables(dim): its rank
-    in lexicographic order, the order itertools.permutations lists."""
-    return {p: r for r, p in enumerate(itertools.permutations(range(dim)))}
-
-
-@lru_cache(maxsize=None)
 def _coordinate_weights(dim: int) -> np.ndarray:
     """Shape (2^dim, 2*dim).  Column i of row x is 256^weight(x) if x has
     coordinate i set, else 0; column dim + i is the same for the complement
@@ -233,40 +201,43 @@ def _coordinate_weights(dim: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _candidate_transforms(memb: np.ndarray, dim: int) -> np.ndarray:
-    """The rows of _symmetry_tables(dim) whose images of the set (memb is
-    its membership vector) list the coordinates in ascending invariant
+@lru_cache(maxsize=None)
+def _image_row(perm: tuple[int, ...]) -> np.ndarray:
+    """Point indices of the coordinate permutation perm of E^len(perm):
+    slot j holds the point sum_i bit_i(j) << perm[i], so a membership
+    vector indexed by the row is that of the set's image, which maps image
+    coordinate i to set coordinate perm[i]."""
+    dim = len(perm)
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    return (bits @ (1 << np.array(perm, dtype=np.int64))).astype(np.uint8)
+
+
+def _candidate_images(memb: np.ndarray, dim: int) -> np.ndarray:
+    """Membership vectors, one a row, of the images of the set (memb is its
+    membership vector) that list the coordinates in ascending invariant
     order (see _coordinate_weights), in the orientation whose sorted
     invariants are least (both when the set and its dual tie).  This
     candidate set is defined by the images alone, so every member of an
     orbit gets the same set of images and the least of them is a canonical
-    form.  The row of permutation p maps image coordinate j to set
-    coordinate p[j]."""
-    tables = _symmetry_tables(dim)
-    half = tables.shape[0] // 2
+    form.  Complementing every coordinate sends point x to 2^dim - 1 - x,
+    so the dual's membership vector is memb reversed."""
     inv = (memb @ _coordinate_weights(dim)).tolist()
-    keyed = [(sorted(vec), vec, base) for vec, base in ((inv[:dim], 0), (inv[dim:], half))]
-    least = min(keyed)[0]
-    orientations = [(vec, base) for key, vec, base in keyed if key == least]
-    if len(set(inv[:dim])) <= 1:
-        # one invariant class, and then the dual has one too: every
-        # permutation of a kept orientation is a candidate, so the rows
-        # are one table half, or both, and a view indexes them
-        return tables[orientations[0][1] : orientations[-1][1] + half]
-    ranks = _permutation_rows(dim)
-    rows = []
-    for vec, base in orientations:
-        order = sorted(range(dim), key=vec.__getitem__)
-        blocks = [tuple(b) for _, b in itertools.groupby(order, key=vec.__getitem__)]
-        for parts in itertools.product(*map(itertools.permutations, blocks)):
-            rows.append(base + ranks[sum(parts, ())])
-    return tables[rows]
+    vecs = (inv[:dim], inv[dim:])
+    least = min(map(sorted, vecs))
+    images = []
+    for vec, vector in zip(vecs, (memb, memb[::-1])):
+        if sorted(vec) == least:
+            order = sorted(range(dim), key=vec.__getitem__)
+            blocks = [tuple(b) for _, b in itertools.groupby(order, key=vec.__getitem__)]
+            perms = itertools.product(*map(itertools.permutations, blocks))
+            images.append(vector[np.concatenate([_image_row(sum(p, ())) for p in perms])])
+    return np.concatenate(images).reshape(-1, 1 << dim)
 
 
 def _canonical_payload(masks: list[int], dim: int) -> bytes:
     memb = np.zeros(1 << dim, dtype=np.uint8)
     memb[masks] = 1
-    images = np.packbits(memb[_candidate_transforms(memb, dim)], axis=1)
+    images = np.packbits(_candidate_images(memb, dim), axis=1)
     return b"\x00" + bytes([dim]) + min(map(bytes, images))
 
 
@@ -861,7 +832,8 @@ def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
             k = len(comp).bit_length() - 1
             if len(comp) != 1 << k or k >= limit:
                 return False
-            if not cover_preserving_isomorphic(comp, Subposet.cube(k)):
+            # comp has 2^k points with k < limit: size the guard to it
+            if not cover_preserving_isomorphic(comp, Subposet.cube(k), max_size=len(comp)):
                 return False
     return True
 

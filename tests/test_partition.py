@@ -2,8 +2,11 @@
 predicates and oracles, the two pivot-set constructions, and the power-of-two
 decomposition."""
 
+import functools
 import gc
+import hashlib
 import itertools
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -73,10 +76,27 @@ def cube_residual(rng, dim: int) -> Subposet:
     return S
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetry_tables(dim: int) -> np.ndarray:
+    """Point-index transforms of E^dim, shape (2*dim!, 2^dim): slot j of
+    image r holds the set's membership of point [r, j].  The first dim! rows
+    are the coordinate permutations in itertools.permutations order, the
+    rest the same composed with global complementation.  The table the
+    package's keys were once read from, kept as the reference that shares
+    no code with the candidate images."""
+    size = 1 << dim
+    bits = ((np.arange(size)[:, None] >> np.arange(dim)[None, :]) & 1).astype(np.int64)
+    perms = list(itertools.permutations(range(dim)))
+    place = np.array([[1 << p[i] for i in range(dim)] for p in perms], dtype=np.int64)
+    transformed = (bits @ place.T).T  # (dim!, size)
+    full = np.concatenate([transformed, (size - 1) - transformed])
+    return np.ascontiguousarray(full, dtype=np.int32)
+
+
 def exhaustive_key(S: Subposet, fold: bool) -> bytes:
     """The key the refined canonical form replaced: the least membership
     image of S over every row of the symmetry table."""
-    tables = partition_module._symmetry_tables(S.dim)
+    tables = _symmetry_tables(S.dim)
     rows = tables if fold else tables[: tables.shape[0] // 2]
     memb = np.zeros((1 << S.dim) + 1, dtype=np.uint8)
     memb[list(S.masks)] = 1
@@ -86,23 +106,42 @@ def exhaustive_key(S: Subposet, fold: bool) -> bytes:
 def radix_key(S: Subposet) -> bytes:
     """The key as the radix loop took it before it became one min over the
     packed images: the least candidate image, 32 point slots (one
-    big-endian word) at a time, keeping only the rows that tie on each
-    word.  Rows are whole words from dimension 5 up, where the two keys
+    big-endian word) at a time, keeping only the images that tie on each
+    word.  Images are whole words from dimension 5 up, where the two keys
     must agree byte for byte."""
     memb = np.zeros(1 << S.dim, dtype=np.uint8)
     memb[list(S.masks)] = 1
-    surviving = partition_module._candidate_transforms(memb, S.dim)
+    surviving = partition_module._candidate_images(memb, S.dim)
     parts = [b"\x00", bytes([S.dim])]
     offset = 0
     while surviving.shape[0] > 1 and offset < surviving.shape[1]:
-        vals = np.packbits(memb[surviving[:, offset : offset + 32]], axis=1).view(">u4").ravel()
+        vals = np.packbits(surviving[:, offset : offset + 32], axis=1).view(">u4").ravel()
         m = vals.min()
         parts.append(int(m).to_bytes(4, "big"))
         surviving = surviving[vals == m]
         offset += 32
     if offset < surviving.shape[1]:
-        parts.append(np.packbits(memb[surviving[0, offset:]]).tobytes())
+        parts.append(np.packbits(surviving[0, offset:]).tobytes())
     return b"".join(parts)
+
+
+def pinned_key_sets():
+    """Every subset of E^0..E^3, then 2,000 seeded sets at dims 4-7: E^d
+    minus each weight layer (its coordinates share one invariant, and so do
+    its dual's), and random sets, each followed by its dual."""
+    for dim in range(4):
+        for bits in range(1 << (1 << dim)):
+            yield Subposet(dim, tuple(m for m in range(1 << dim) if bits >> m & 1))
+    seeded = [
+        Subposet(dim, tuple(m for m in range(1 << dim) if m.bit_count() != w))
+        for dim in range(4, 8)
+        for w in range(dim + 1)
+    ]
+    rng = random.Random(4096)
+    while len(seeded) < 2000:
+        S = random_subposet(rng, rng.randint(4, 7))
+        seeded += [S, S.dual()]
+    yield from seeded
 
 
 def assert_orbits_match_exhaustive(rng, sets) -> None:
@@ -299,15 +338,6 @@ class TestEngine:
         # the warm run answers from the table without a single new entry
         assert cache.misses == misses_after_first
         assert cache.hits >= 1
-
-    @pytest.mark.parametrize("maxsize", [1, 4, 64])
-    def test_evicting_cache_matches_oracle(self, rng, maxsize):
-        for n, trials in ((4, 10), (5, 6)):
-            for _ in range(trials):
-                S = random_subposet(rng, n)
-                cache = MemoCache(maxsize=maxsize)
-                assert count_via_partition(S, "single", cache=cache) == count_monotone_oracle(S)
-                assert len(cache) <= maxsize
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -814,6 +844,15 @@ class TestCanonicalKey:
             for T in (S, S.dual()):
                 assert canonical_key(T) == radix_key(T)
 
+    def test_key_bytes_pinned(self):
+        # the sha256 of the keys of pinned_key_sets() concatenated, as the
+        # symmetry-table key computed them: the bytes are the memo's keys,
+        # so a change to them is a change to every canonical entry
+        keys = b"".join(canonical_key(S) for S in pinned_key_sets())
+        assert hashlib.sha256(keys).hexdigest() == (
+            "3b63f7227385d1a7654ad932c723bc06fb8768d5077673b34612556f8a7a3d1c"
+        )
+
     def test_key_length(self, rng):
         # a kind byte, the dimension, then one bit per point of the image
         for dim in range(CANONICAL_DIM_CAP + 1):
@@ -876,19 +915,6 @@ class TestMemoCache:
         assert cache.stats() == {"hits": 1, "misses": 1}
         assert len(cache) == 1
 
-    def test_lru_eviction(self):
-        # bytes are canonical keys, ints literal ones
-        for a, b, c in ((b"a", b"b", b"c"), (17, 18, 19)):
-            cache = MemoCache(maxsize=2)
-            cache.put(a, 1)
-            cache.put(b, 2)
-            assert cache.get(a) == 1  # refresh a
-            cache.put(c, 3)  # evicts b
-            assert cache.get(b) is None
-            assert cache.get(a) == 1
-            assert cache.get(c) == 3
-            assert len(cache) == 2
-
     def test_clear_resets_everything(self):
         cache = MemoCache()
         cache.put(b"a", 1)
@@ -896,10 +922,6 @@ class TestMemoCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == {"hits": 0, "misses": 0}
-
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            MemoCache(maxsize=0)
 
 
 class TestTwoAdicPolynomial:
@@ -1029,6 +1051,16 @@ class TestCompletenessOracles:
             # induced is sound but misses some complete pivots
             if is_complete_partition(A, cube3, "induced"):
                 assert expected
+
+    def test_both_pivots_of_five_cube(self):
+        # the face x1 = 0 leaves the opposite face, an E^4 component of 16
+        # points, so the isomorphism check must accept a component that size
+        cube5 = Subposet.cube(5)
+        face = Subposet(5, tuple(m for m in cube5.masks if not m & 1))
+        layer = construct_layer_subset(5, "even")
+        for A, complete in ((face, False), (layer, True)):
+            assert definitional_completeness_oracle(A, cube5) is complete
+            assert is_complete_partition(A, cube5) is complete
 
     def test_numeric_value_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from .errors import BudgetExceededError, FalsificationError, PosetParseError
 from .monotone import count_monotone_oracle
@@ -116,7 +117,8 @@ def _verify_theorem_1(args, rng, lines, failures):
         S = Subposet(args.n, s_masks)
         a_masks = tuple(m for m in s_masks if rng.random() < 0.5)
         A = Subposet(args.n, a_masks)
-        total = sum(count_monotone_oracle(t.residual) for t in partition_terms(S, A))
+        residuals = Counter(t.residual for t in partition_terms(S, A))
+        total = sum(k * count_monotone_oracle(R) for R, k in residuals.items())
         direct = count_monotone_oracle(S)
         ok = total == direct
         cases.append(ok)

@@ -37,13 +37,12 @@ from typing import Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .errors import BudgetExceededError, FalsificationError
-from .monotone import MonotoneMap, count_monotone_oracle, enumerate_monotone
+from .monotone import DEFAULT_ENUMERATION_CAP, MonotoneMap, count_monotone_oracle
 from .poset import (
     COVER_MODES,
     Point,
     Subposet,
     _comparable_table,
-    _generated_bits,
     _mask_list,
     _updown_tables,
     cover_preserving_isomorphic,
@@ -418,23 +417,29 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
 
 
 def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
-    """Walk the monotone maps on A depth first, 0-branch first.  For each map
-    f yield the point-space bitsets (ones, covered): ones is the region f
-    forces to 1, so f(a) = 1 iff bit a of ones is set, and covered is the
-    whole region f forces.  Every decision spends one engine node, so the
-    run's budgets bound the walk; each decision splits the walk in two, so
-    it spends one node less than it yields maps.  An empty A yields (0, 0)
-    once."""
+    """Walk the monotone maps on A depth first, deciding the least undecided
+    point first, 0-branch first.  For each map f yield (table, covered):
+    table is f's truth table over A's points, bit i being f(A.masks[i]) as
+    in MonotoneMap.bits, and covered is the point-space bitset of the whole
+    region f forces.  The walk keeps the undecided points and the ones in
+    A's rank space, through up/down tables narrowed to A once per walk.
+    Every decision spends one engine node, so the run's budgets bound the
+    walk; each decision splits the walk in two, so it spends one node less
+    than it yields maps.  An empty A yields (0, 0) once."""
     up_t, down_t = _updown_tables(A.dim)
-    stack = [(A.bitset, 0, 0)]
+    ups = [up_t[m] for m in A.masks]
+    downs = [down_t[m] for m in A.masks]
+    rank_ups = [_extract_bits(u, A.bitset) for u in ups]
+    rank_downs = [_extract_bits(d, A.bitset) for d in downs]
+    stack = [((1 << len(A)) - 1, 0, 0)]
     while stack:
         undecided, ones, covered = stack.pop()
         while undecided:
             run.tick()
-            a = (undecided & -undecided).bit_length() - 1
-            stack.append((undecided & ~up_t[a], ones | up_t[a], covered | up_t[a]))
-            undecided &= ~down_t[a]
-            covered |= down_t[a]
+            i = (undecided & -undecided).bit_length() - 1
+            stack.append((undecided & ~rank_ups[i], ones | rank_ups[i], covered | ups[i]))
+            undecided &= ~rank_downs[i]
+            covered |= downs[i]
         yield ones, covered
 
 
@@ -468,13 +473,12 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     The four fibres of a monotone map on T x E^2 are monotone maps c <= a, b
     <= d on T, so D(S) is the sum over pairs (a, b) of M(T)^2 of
     below[a & b] * above[a | b]: the maps under the meet times the maps over
-    the join.  Maps are T's up-sets as rank-space truth tables, listed by
-    _pivot_maps, narrowed to T's points and sorted, so a meet or join is
-    found by searchsorted.  below and above come from one subset matrix,
-    and the pair sum takes b from a's block of rows on, so by symmetry it
-    computes each unordered pair once outside the blocks' diagonal squares;
-    both run in numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS
-    pairs.  Each row a of the pair sum spends one engine node, as each walk
+    the join.  Maps are T's up-sets as the truth tables _pivot_maps yields,
+    sorted, so a meet or join is found by searchsorted.  below and above
+    come from one subset matrix, and the pair sum takes b from a's block of
+    rows on, so by symmetry it computes each unordered pair once outside
+    the blocks' diagonal squares; both run in numpy blocks of rows of at
+    most _INTERVAL_BLOCK_PAIRS pairs.  Each row a of the pair sum spends one engine node, as each walk
     decision does, charged a block at a time before the block is summed, so
     the deadline goes unchecked only through the below/above pass (0.16 s over
     the 7,581 maps of E^5 on a 2-vCPU host).  The walk's decisions are
@@ -488,13 +492,13 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     # cap leaves the engine that follows all of the node budget
     walk = _EngineRun(None, None, None)
     walk.deadline = run.deadline
-    ups = []
-    for ones, _ in _pivot_maps(T, walk):
-        if len(ups) == INTERVAL_MAX_MAPS:
+    tables = []
+    for table, _ in _pivot_maps(T, walk):
+        if len(tables) == INTERVAL_MAX_MAPS:
             return None
-        ups.append(_extract_bits(ones, T.bitset))
+        tables.append(table)
     run.tick(walk.nodes)
-    maps = np.sort(np.array(ups, np.int64))
+    maps = np.sort(np.array(tables, np.int64))
     k = len(maps)
     rows = max(1, _INTERVAL_BLOCK_PAIRS // k)
     below = np.empty(k, np.int64)
@@ -697,17 +701,22 @@ def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
     """Materialize the partition sum for pivot subset A: one term per
     monotone map f on A, with residual S minus the region f forces (upper
     sets where f is 1, lower sets where f is 0).  Terms are ordered by the
-    value tuple of their pivot maps.  Desk-scale: every monotone map on A is
-    listed."""
+    value tuple of their pivot maps, the order the pivot walk yields them
+    in: it decides the least undecided point first, 0 before 1, and a 0
+    forces only numerically smaller points and a 1 only larger ones, so a
+    decision never changes the value of a point below the one decided.
+    Desk-scale: every monotone map on A is listed, and an A of more than
+    DEFAULT_ENUMERATION_CAP points raises BudgetExceededError."""
     _validate_subset(A, S)
-    keyed = []
-    for f in enumerate_monotone(A):
-        values = f.values()
-        forced = _generated_bits(A, values)
-        residual = Subposet(S.dim, tuple(m for m in S.masks if not forced >> m & 1))
-        keyed.append((values, PartitionTerm(f, residual)))
-    keyed.sort(key=lambda vt: vt[0])
-    return [term for _, term in keyed]
+    if len(A) > DEFAULT_ENUMERATION_CAP:
+        raise BudgetExceededError(
+            f"enumeration cap exceeded: {len(A)} points > {DEFAULT_ENUMERATION_CAP}"
+        )
+    s_bits = S.bitset
+    return [
+        PartitionTerm(MonotoneMap(A, table), Subposet._from_bits(S.dim, s_bits & ~covered))
+        for table, covered in _pivot_maps(A, _EngineRun(None, None, None))
+    ]
 
 
 def corollary_split(
@@ -720,16 +729,23 @@ def corollary_split(
 ) -> tuple[int, int]:
     """The two-branch split of D(E^n) at a single pivot point a: counts of
     the cube minus the upper set of a and minus the lower set of a.  The two
-    share one cache; with duality folding the second branch of a symmetric
-    pivot is usually a cache hit."""
+    share one cache, but under the default "auto" a branch with two free
+    coordinates (coordinates whose toggle maps the branch onto itself) is a
+    product T x E^2 and takes the interval sum, which never touches the
+    cache; the upper branch's free coordinates are a's zero coordinates and
+    the lower branch's its ones.  So up to n = 7 only a pivot with at most
+    one zero, or at most one one, coordinate reaches the shared memo: on E^6
+    the pivot of mask 0b000111 makes no lookup, and the pivot of mask
+    0b000001 counts its upper branch by the interval sum and only its lower
+    branch with the engine."""
     if a.dim != n:
         raise ValueError(f"pivot dimension {a.dim} != {n}")
     up_t, down_t = _updown_tables(n)
     full = (1 << (1 << n)) - 1
     shared = cache if cache is not None else MemoCache()
     kwargs = dict(cache=shared, max_nodes=max_nodes, budget_seconds=budget_seconds)
-    upper_removed = Subposet(n, tuple(_mask_list(full & ~up_t[a.mask])))
-    lower_removed = Subposet(n, tuple(_mask_list(full & ~down_t[a.mask])))
+    upper_removed = Subposet._from_bits(n, full & ~up_t[a.mask])
+    lower_removed = Subposet._from_bits(n, full & ~down_t[a.mask])
     return (
         count_via_partition(upper_removed, **kwargs),
         count_via_partition(lower_removed, **kwargs),
@@ -828,7 +844,7 @@ def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     limit = _varying_coordinates(S.masks).bit_count()
     for term in partition_terms(S, A):
         for c in _components(term.residual.bitset, A.dim):
-            comp = Subposet(A.dim, tuple(_mask_list(c)))
+            comp = Subposet._from_bits(A.dim, c)
             k = len(comp).bit_length() - 1
             if len(comp) != 1 << k or k >= limit:
                 return False

@@ -146,6 +146,18 @@ class Subposet:
         object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
 
     @classmethod
+    def _from_bits(cls, dim: int, bits: int) -> "Subposet":
+        """Trusted constructor from a point-space bitset of E^dim, for
+        callers whose bits are a region of the cube they already hold: the
+        masks come out sorted and distinct, so the range check, the dedup
+        and the sort are skipped, and the cached bitset is preset."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "dim", dim)
+        object.__setattr__(S, "masks", tuple(_mask_list(bits)))
+        S.__dict__["bitset"] = bits
+        return S
+
+    @classmethod
     def from_points(cls, points: Iterable[Point]) -> "Subposet":
         pts = list(points)
         if not pts:
@@ -236,12 +248,12 @@ def _check_dim_parse(dim: int) -> None:
 
 def upper_set(a: Point) -> Subposet:
     """All points of the cube above a (inclusive); size 2^(n - weight)."""
-    return Subposet(a.dim, tuple(_mask_list(_updown_tables(a.dim)[0][a.mask])))
+    return Subposet._from_bits(a.dim, _updown_tables(a.dim)[0][a.mask])
 
 
 def lower_set(a: Point) -> Subposet:
     """All points of the cube below a (inclusive); size 2^weight."""
-    return Subposet(a.dim, tuple(_mask_list(_updown_tables(a.dim)[1][a.mask])))
+    return Subposet._from_bits(a.dim, _updown_tables(a.dim)[1][a.mask])
 
 
 def _generated_bits(A: Subposet, y: Sequence[int]) -> int:
@@ -266,7 +278,7 @@ def generated_subset(A: Subposet, y: Sequence[int]) -> Subposet:
     y is paired with A's canonical (ascending numeric) member order and must
     match its length.  The region is built as one point-space bitset.
     """
-    return Subposet(A.dim, tuple(_mask_list(_generated_bits(A, y))))
+    return Subposet._from_bits(A.dim, _generated_bits(A, y))
 
 
 def induced_cover_pairs(S: Subposet) -> list[CoverPair]:

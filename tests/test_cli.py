@@ -1,6 +1,7 @@
 """The command-line front end: output shapes, exit codes, determinism, and
 the argument shapes the benchmark passes."""
 
+import hashlib
 import json
 
 import pytest
@@ -421,6 +422,21 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "verify", "--theorem", "corollary", "--n", "3",
                          "--format", "json")
         assert stripped(json.loads(out1)) == stripped(json.loads(out2))
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--theorem", "1", "--n", "5", "--samples", "20", "--seed", "0"),
+         "ab91329aa568387d9226f10eb47e950941c8af6f2a1eb0139d3bb6bb731f1c60"),
+        (("verify", "--theorem", "2", "--n", "3"),
+         "2addf3bd746fa402ff9f09b4ea38c4a72e1cd9aba12d55ff9836ab14c3503f99"),
+    ])
+    def test_verify_payload_pinned(self, capsys, argv, digest):
+        # sha256 of the stripped report, sorted keys, as computed when the
+        # partition terms still came from the enumeration oracle and every
+        # residual was counted once per term
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        text = json.dumps(stripped(json.loads(out)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBenchmarkArgv:

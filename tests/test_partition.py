@@ -19,7 +19,11 @@ from hypothesis import strategies as st
 import dedekind.partition as partition_module
 from conftest import brute_count_monotone, random_subposet
 from dedekind.errors import BudgetExceededError, FalsificationError
-from dedekind.monotone import count_monotone_oracle, enumerate_monotone
+from dedekind.monotone import (
+    DEFAULT_ENUMERATION_CAP,
+    count_monotone_oracle,
+    enumerate_monotone,
+)
 from dedekind.partition import (
     CANONICAL_DIM_CAP,
     COMPLETE_BUT_NOT_MINIMAL,
@@ -279,6 +283,21 @@ def fresh_run():
     return partition_module._EngineRun(None, None, None)
 
 
+def reference_terms(S: Subposet, A: Subposet) -> list[tuple[int, Subposet]]:
+    """The term list partition_terms built before the pivot walk listed it,
+    as (pivot bits, residual) pairs: every map the enumeration oracle lists,
+    S minus its generated_subset region, sorted by value tuple."""
+    keyed = sorted(
+        (f.values(), f.bits, S.minus(generated_subset(A, f.values())))
+        for f in enumerate_monotone(A)
+    )
+    return [(bits, residual) for _, bits, residual in keyed]
+
+
+def term_pairs(terms) -> list[tuple[int, Subposet]]:
+    return [(t.pivot_values.bits, t.residual) for t in terms]
+
+
 class TestEngine:
     def test_base_cases(self):
         assert count_via_partition(Subposet.empty(3)) == 1
@@ -415,14 +434,14 @@ class TestEngine:
         assert count_via_partition(S, "single") == count_monotone_oracle(S)
 
     def test_pivot_walk_matches_partition_terms(self, rng):
-        # the engine's pivot walk against the enumeration oracle's term list,
-        # which shares no code with it
+        # the engine's pivot walk against a term list built from the
+        # enumeration oracle, which shares no code with it
         for n, trials in ((4, 20), (5, 8)):
             for _ in range(trials):
                 S = random_subposet(rng, n, density=0.6)
                 A = Subposet(n, tuple(m for m in S.masks if rng.random() < 0.35))
                 expected = sum(
-                    count_monotone_oracle(t.residual) for t in partition_terms(S, A)
+                    count_monotone_oracle(residual) for _, residual in reference_terms(S, A)
                 )
                 assert count_via_partition(S, A) == expected
 
@@ -662,14 +681,10 @@ class TestIntervalSum:
         assert count_via_partition(S, max_nodes=227_444) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
-        # the walk's forced-to-1 regions, narrowed to A's points, are the
-        # truth tables the enumeration oracle lists
+        # the walk's truth tables are the ones the enumeration oracle lists
         pool = [A for A in pivot_pool(rng) if A.dim <= 4]
         for A in pool:
-            tables = sorted(
-                partition_module._extract_bits(o, A.bitset)
-                for o, _ in partition_module._pivot_maps(A, fresh_run())
-            )
+            tables = sorted(t for t, _ in partition_module._pivot_maps(A, fresh_run()))
             assert tables == sorted(f.bits for f in enumerate_monotone(A))
 
     def test_budgets(self):
@@ -734,6 +749,47 @@ class TestPartitionTerms:
                 count_monotone_oracle(t.residual) for t in partition_terms(S, A)
             )
             assert total == count_monotone_oracle(S)
+
+    def test_matches_enumeration_reference(self, rng):
+        # pivot bits, residuals and their order, against the term list built
+        # from enumerate_monotone and generated_subset
+        for n in (2, 3, 4, 5):
+            for _ in range(25):
+                S = random_subposet(rng, n)
+                A = Subposet(n, tuple(m for m in S.masks if rng.random() < 0.5))
+                terms = partition_terms(S, A)
+                assert term_pairs(terms) == reference_terms(S, A)
+                assert all(t.pivot_values.domain == A for t in terms)
+
+    def test_matches_brute_listing_on_three_cube(self, rng):
+        # every one of the 2^|A| assignments, filtered for monotonicity over
+        # all comparable pairs, with its forced region found point by point
+        for _ in range(40):
+            S = random_subposet(rng, 3, density=0.8)
+            A = Subposet(3, tuple(m for m in S.masks if rng.random() < 0.6))
+            k = len(A)
+            brute = []
+            for bits in range(1 << k):
+                values = tuple(bits >> i & 1 for i in range(k))
+                f = dict(zip(A.masks, values))
+                if any(u & ~w == 0 and f[u] > f[w] for u in f for w in f):
+                    continue
+                # a point is forced when it lies above a 1 or below a 0
+                kept = tuple(
+                    m for m in S.masks
+                    if not any(a & ~m == 0 if v else m & ~a == 0 for a, v in f.items())
+                )
+                brute.append((values, bits, Subposet(3, kept)))
+            brute.sort()
+            assert term_pairs(partition_terms(S, A)) == [(b, r) for _, b, r in brute]
+
+    def test_enumeration_cap(self):
+        # 41 points raise before any walk starts, with the oracle's message
+        S = Subposet.cube(6)
+        A = Subposet(6, tuple(range(41)))
+        assert len(A) == DEFAULT_ENUMERATION_CAP + 1
+        with pytest.raises(BudgetExceededError, match="enumeration cap exceeded: 41 points > 40"):
+            partition_terms(S, A)
 
     def test_pivot_must_be_subset(self):
         with pytest.raises(ValueError, match="pivot subset must be contained in S"):

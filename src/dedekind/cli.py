@@ -7,7 +7,10 @@ interrupt), 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
 deterministic part of a report (everything except elapsed_ms and the memo
 table's hit and miss counts) is byte-identical across repeats.  Counting
-runs on one thread; count accepts --threads N >= 1 and ignores it.
+runs on one thread.  Two count options stay only for the argv of the
+benchmark's cube6_cli workload (ROADMAP items 4 and 5): --threads N >= 1,
+which is ignored, and --strategy layer, a legacy spelling of the value
+decompose --parity even prints for a full cube.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from collections import Counter
 from .errors import BudgetExceededError, FalsificationError, PosetParseError
 from .monotone import count_monotone_oracle
 from .partition import (
-    DEFAULT_COVER_MODE,
     MemoCache,
     _minimality,
     construct_layer_subset,
@@ -36,7 +38,7 @@ from .partition import (
     minimality_check,
     partition_terms,
 )
-from .poset import COVER_MODES, Point, Subposet, find_v3
+from .poset import COVER_MODES, DEFAULT_COVER_MODE, Point, Subposet, find_v3
 
 DEFAULT_SEED = 20260819
 
@@ -62,10 +64,7 @@ def _report(command: str, n, digest: str, result, *,
             cache: MemoCache | None = None, **extra) -> dict:
     rep = {"command": command, "n": n, "input_digest": digest, "result": result}
     rep.update(extra)
-    rep["cache"] = (
-        {"hits": cache.hits, "misses": cache.misses} if cache is not None
-        else {"hits": 0, "misses": 0}
-    )
+    rep["cache"] = (cache if cache is not None else MemoCache()).stats()
     return rep
 
 
@@ -96,15 +95,14 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
         S = _load_subposet(args.poset)
         digest = _file_digest(args.poset)
         n = S.dim
-    strategy = args.strategy
     cache = MemoCache()
-    value = count_via_partition(
-        S,
-        strategy,
-        cache=cache,
-        max_nodes=args.max_nodes,
-        budget_seconds=args.budget_seconds,
-    )
+    budgets = dict(max_nodes=args.max_nodes, budget_seconds=args.budget_seconds)
+    if args.strategy == "layer":
+        if S != Subposet.cube(S.dim):
+            raise ValueError("layer strategy requires the full cube")
+        value = decompose_power_of_two(S.dim, "even", **budgets).value()
+    else:
+        value = count_via_partition(S, args.strategy, cache=cache, **budgets)
     report = _report("count", n, digest, str(value), cache=cache)
     return report, [str(value)], 0
 
@@ -383,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="counting strategy: auto (default) takes the interval sum "
                         "for products T x E^2 and the engine elsewhere; single "
-                        "pins the engine")
+                        "pins the engine; layer is a legacy spelling of "
+                        "decompose --parity even's value, kept with --threads "
+                        "for the benchmark's cube6_cli argv")
     p.add_argument("--threads", type=int, default=1,
                    help="ignored, as counting runs on one thread; must be >= 1")
     p.add_argument("--max-nodes", type=int, default=None,

@@ -22,8 +22,8 @@ Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
 the remainder, the 2-face condition, and a definitional oracle that checks
 every residual's component structure (a numeric variant that only factors
-the counts is strictly weaker).  The cover reading the predicates use
-defaults to "ambient"; see DEFAULT_COVER_MODE.
+the counts is strictly weaker).  The predicates read covers under
+poset.DEFAULT_COVER_MODE unless a mode is passed.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ import numpy as np
 from .errors import BudgetExceededError, FalsificationError
 from .monotone import DEFAULT_ENUMERATION_CAP, MonotoneMap, count_monotone_oracle
 from .poset import (
-    COVER_MODES,
+    DEFAULT_COVER_MODE,
     Point,
     Subposet,
+    _check_mode,
     _comparable_table,
     _mask_list,
     _updown_tables,
@@ -53,12 +54,6 @@ from .poset import (
 # enumeration oracle in the test suite.  The definitional completeness oracle
 # factors term values over this pool; desk-scale terms never need more.
 PINNED_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
-
-# Cover reading used by the V-shape predicates when no mode is passed.  The
-# ambient (weight-gap-1) reading is the one that matches the definitional
-# oracle on every subset of E^3; the induced reading stays available and is
-# strictly more sensitive (sound but incomplete on full cubes).
-DEFAULT_COVER_MODE = "ambient"
 
 # The dimension up to which keys fold cube symmetry; larger sets are keyed by
 # their own membership bitset.  At dim 8 folding merged only 22% of 2,000
@@ -611,25 +606,6 @@ def _free_edge(A: Subposet) -> tuple[int, int] | None:
     return min(edges, default=None)
 
 
-def _layer_polynomial(A: Subposet, parity: str, run: _EngineRun) -> TwoAdicPolynomial:
-    """The residual-size polynomial of the layer pivot A, read in powers of
-    two, after checking that every residual is an antichain (one of k points
-    counts 2^k); a comparable pair falsifies the layer-pivot guarantee and
-    raises FalsificationError naming the pair and a map that leaves it
-    free."""
-    edge = _free_edge(A)
-    if edge is not None:
-        m, y = edge
-        n = A.dim
-        pivot_text = ", ".join(f"{Point(a, n)}={int(a & m == m)}" for a in A.masks)
-        raise FalsificationError(
-            f"residual of the layer pivot is not an antichain: "
-            f"{Point(m, n)} below {Point(y, n)} "
-            f"(n={n}, parity={parity}, pivot values {pivot_text})"
-        )
-    return TwoAdicPolynomial.from_counts(_residual_sizes(A, run))
-
-
 def _validate_subset(A: Subposet, S: Subposet) -> None:
     if A.dim != S.dim:
         raise ValueError(f"dimension mismatch: {A.dim} vs {S.dim}")
@@ -656,30 +632,22 @@ def count_via_partition(
     interval sum over pairs (a, b) of monotone maps on T of (maps under a
     meet b) * (maps over a join b), with T's maps listed by the pivot walk,
     when T is order-connected with at most INTERVAL_MAX_POINTS points and at
-    most INTERVAL_MAX_MAPS maps; elsewhere it is the engine.  "layer" takes
-    a full cube E^n and returns decompose_power_of_two(n, "even").value(),
-    which pivots on the even-weight layer and so leaves only antichain
-    residuals.  A Subposet pivots on that explicit subset once, then counts
-    each residual with the engine.  The interval sum and "layer" leave cache
-    unused.  All strategies are exact and agree; they differ only in work.
-    Counting runs on the calling thread.
+    most INTERVAL_MAX_MAPS maps; elsewhere it is the engine.  A Subposet
+    pivots on that explicit subset once, then counts each residual with the
+    engine.  The interval sum leaves cache unused.  All strategies are exact
+    and agree; they differ only in work.  Counting runs on the calling
+    thread.  The power-of-two layer walk is decompose_power_of_two.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
     engine (a direct count of a small residual is one step), the decisions
     of a pivot walk (an explicit pivot's, or the walk listing M(T),
-    |M(T)| - 1 of them), one per row a of the interval sum, and the distinct
-    states of the layer walk; an "auto" run whose T has more than
-    INTERVAL_MAX_MAPS maps leaves the interval sum for the engine, and the
-    walk it stopped is not charged.  A negative max_nodes, or a
-    budget_seconds that is negative or NaN, raises ValueError.
+    |M(T)| - 1 of them) and one per row a of the interval sum; an "auto" run
+    whose T has more than INTERVAL_MAX_MAPS maps leaves the interval sum for
+    the engine, and the walk it stopped is not charged.  A negative
+    max_nodes, or a budget_seconds that is negative or NaN, raises
+    ValueError.
     """
-    if strategy == "layer":
-        if S != Subposet.cube(S.dim):
-            raise ValueError("layer strategy requires the full cube")
-        return decompose_power_of_two(
-            S.dim, "even", max_nodes=max_nodes, budget_seconds=budget_seconds
-        ).value()
     run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)
 
     if isinstance(strategy, Subposet):
@@ -756,18 +724,14 @@ def corollary_split(
 # complete partitions
 
 
-def is_complete_partition(A: Subposet, S: Subposet, mode: str | None = None) -> bool:
+def is_complete_partition(A: Subposet, S: Subposet, mode: str = DEFAULT_COVER_MODE) -> bool:
     """Predicate form of completeness: no V-shape in S - A under the selected
-    cover reading (default DEFAULT_COVER_MODE)."""
-    if mode is None:
-        mode = DEFAULT_COVER_MODE
-    if mode not in COVER_MODES:
-        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
+    cover reading."""
     _validate_subset(A, S)
     return find_v3(S.minus(A), mode) is None
 
 
-def e2_condition_check(A: Subposet, n: int, mode: str | None = None) -> bool:
+def e2_condition_check(A: Subposet, n: int, mode: str = DEFAULT_COVER_MODE) -> bool:
     """The 2-face condition on the full cube: every four-point diamond B of
     E^n must put one of its two middle points in A, or both its endpoints.
 
@@ -775,10 +739,7 @@ def e2_condition_check(A: Subposet, n: int, mode: str | None = None) -> bool:
     the induced reading every interval [x, y] contributes a diamond for each
     incomparable pair of interior points, so the non-A interior of every
     interval must form a chain."""
-    if mode is None:
-        mode = DEFAULT_COVER_MODE
-    if mode not in COVER_MODES:
-        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
+    _check_mode(mode)
     if A.dim != n:
         raise ValueError(f"pivot dimension {A.dim} != {n}")
     in_a = frozenset(A.masks)
@@ -977,10 +938,20 @@ def decompose_power_of_two(
     The residuals are checked to be antichains before the walk: one holds a
     comparable pair exactly when some cube edge has both ends outside the
     pivot, and such an edge would falsify the layer-pivot guarantee and
-    raises FalsificationError.  The pivot maps are not walked one by one:
-    a memoized walk over (undecided pivots, coverable free points) states
-    builds the polynomial, and each state spends one engine node.
+    raises FalsificationError naming the edge and the map that leaves it
+    free.  The pivot maps are not walked one by one: a memoized walk over
+    (undecided pivots, coverable free points) states builds the polynomial,
+    and each state spends one engine node.
     """
     A = construct_layer_subset(n, parity)
     run = _EngineRun(None, max_nodes, budget_seconds)
-    return _layer_polynomial(A, parity, run)
+    edge = _free_edge(A)
+    if edge is not None:
+        m, y = edge
+        pivot_text = ", ".join(f"{Point(a, n)}={int(a & m == m)}" for a in A.masks)
+        raise FalsificationError(
+            f"residual of the layer pivot is not an antichain: "
+            f"{Point(m, n)} below {Point(y, n)} "
+            f"(n={n}, parity={parity}, pivot values {pivot_text})"
+        )
+    return TwoAdicPolynomial.from_counts(_residual_sizes(A, run))

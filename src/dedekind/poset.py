@@ -23,10 +23,21 @@ MAX_DIM = 12
 
 COVER_MODES = ("ambient", "induced")
 
+# Cover reading used by the V-shape predicates when no mode is passed.  The
+# ambient (weight-gap-1) reading is the one that matches the definitional
+# oracle on every subset of E^3; the induced reading stays available and is
+# strictly more sensitive (sound but incomplete on full cubes).
+DEFAULT_COVER_MODE = "ambient"
+
 
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be an int in [0, {MAX_DIM}], got {dim!r}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in COVER_MODES:
+        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,7 @@ class CoverPair:
     relation: str
 
     def __post_init__(self) -> None:
-        if self.relation not in COVER_MODES:
-            raise ValueError(f"relation must be one of {COVER_MODES}")
+        _check_mode(self.relation)
         if not leq(self.lower, self.upper) or self.lower == self.upper:
             raise ValueError("lower must be strictly below upper")
 
@@ -197,8 +207,7 @@ class Subposet:
     def minus(self, other: "Subposet") -> "Subposet":
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        drop = other.bitset
-        return Subposet(self.dim, tuple(m for m in self.masks if not drop >> m & 1))
+        return Subposet._from_bits(self.dim, self.bitset & ~other.bitset)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -326,15 +335,14 @@ def _cover_arms(bits: int, apex: int, dim: int, mode: str) -> tuple[int, int]:
     return arms[0], arms[1]
 
 
-def find_v3(S: Subposet, mode: str = "ambient") -> V3Witness | None:
+def find_v3(S: Subposet, mode: str = DEFAULT_COVER_MODE) -> V3Witness | None:
     """Search S for a V-shape under the selected cover reading.
 
     Both orientations are searched; the returned witness is the
     lexicographically smallest by (apex, arms, orientation), all by numeric
     point value.  Returns None when no V-shape exists.
     """
-    if mode not in COVER_MODES:
-        raise ValueError(f"mode must be one of {COVER_MODES}, got {mode!r}")
+    _check_mode(mode)
     for apex in S.masks:
         ups, downs = _cover_arms(S.bitset, apex, S.dim, mode)
         candidates = [(*_mask_list(arms)[:2], orientation)

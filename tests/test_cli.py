@@ -9,6 +9,8 @@ import pytest
 import dedekind.cli as cli_module
 import dedekind.partition as partition_module
 from dedekind.cli import main
+from dedekind.errors import BudgetExceededError
+from dedekind.partition import PINNED_DEDEKIND, construct_layer_subset, decompose_power_of_two
 from dedekind.poset import Subposet, find_v3
 
 
@@ -81,6 +83,32 @@ class TestCount:
         code, _, err = run(capsys, "count", "--poset", path, "--strategy", "layer")
         assert code == 2
         assert "error:" in err
+        code, _, err = run(capsys, "count", "--n", "1", "--strategy", "layer")
+        assert code == 2
+        assert err == "error: layer subsets are defined for n >= 2\n"
+
+    def test_layer_strategy_is_the_even_decomposition(self, capsys):
+        # the legacy spelling runs the even layer walk: it fits the walk's
+        # state count and runs out one node below it, as the library does
+        for n in range(2, 7):
+            walk = partition_module._EngineRun(None, None, None)
+            partition_module._residual_sizes(construct_layer_subset(n, "even"), walk)
+            argv = ("count", "--n", str(n), "--strategy", "layer", "--max-nodes")
+            value = decompose_power_of_two(n, "even", max_nodes=walk.nodes).value()
+            assert value == PINNED_DEDEKIND[n]
+            assert run(capsys, *argv, str(walk.nodes))[:2] == (0, f"{value}\n")
+            assert run(capsys, *argv, str(walk.nodes - 1))[0] == 3
+            with pytest.raises(BudgetExceededError):
+                decompose_power_of_two(n, "even", max_nodes=walk.nodes - 1)
+
+    def test_deep_layer_walk_keeps_the_budget_contract(self, capsys):
+        # the E^11 walk is 1,024 decisions deep: it must run out of its node
+        # budget, not of Python's recursion limit
+        code, _, err = run(
+            capsys, "count", "--n", "11", "--strategy", "layer", "--max-nodes", "10000"
+        )
+        assert code == 3
+        assert err.startswith("budget exceeded")
 
     def test_input_errors(self, capsys, tmp_path):
         assert run(capsys, "count", "--n", "-3")[0] == 2
@@ -127,8 +155,8 @@ class TestCount:
         ("--budget-seconds", "nan"),
     ])
     def test_bad_budget_is_input_error(self, capsys, budget):
-        for n in ("3", "0"):
-            code, _, err = run(capsys, "count", "--n", n, *budget)
+        for argv in (("--n", "3"), ("--n", "0"), ("--n", "3", "--strategy", "layer")):
+            code, _, err = run(capsys, "count", *argv, *budget)
             assert code == 2
             assert "must be >= 0" in err
 

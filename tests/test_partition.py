@@ -5,6 +5,7 @@ decomposition."""
 import functools
 import gc
 import hashlib
+import inspect
 import itertools
 import random
 import re
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dedekind
 import dedekind.partition as partition_module
+import dedekind.poset as poset_module
 from conftest import brute_count_monotone, random_subposet
 from dedekind.errors import BudgetExceededError, FalsificationError
 from dedekind.monotone import (
@@ -47,6 +50,7 @@ from dedekind.partition import (
     partition_terms,
 )
 from dedekind.poset import (
+    CoverPair,
     Point,
     Subposet,
     _generated_bits,
@@ -322,15 +326,13 @@ class TestEngine:
         for n in (2, 3, 4):
             cube = Subposet.cube(n)
             single = count_via_partition(cube, "single")
-            layer = count_via_partition(cube, "layer")
             explicit = count_via_partition(cube, Subposet(n, (0, (1 << n) - 1)))
-            assert single == layer == explicit == PINNED_DEDEKIND[n]
+            assert single == explicit == PINNED_DEDEKIND[n]
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            count_via_partition(Subposet(2, (0, 1)), "layer")  # not the full cube
-        with pytest.raises(ValueError):
-            count_via_partition(Subposet.cube(1), "layer")  # dimension too small
+        # the layer walk is decompose_power_of_two, not a strategy
+        with pytest.raises(ValueError, match="unknown strategy 'layer'"):
+            count_via_partition(Subposet.cube(3), "layer")
         with pytest.raises(ValueError):
             count_via_partition(Subposet.cube(2), "zigzag")
         with pytest.raises(ValueError):
@@ -373,7 +375,7 @@ class TestEngine:
     ])
     def test_bad_budget_rejected(self, budget):
         # rejected before any work, even where the count needs no engine node
-        for strategy in ("single", "layer", "auto", Subposet.cube(3)):
+        for strategy in ("single", "auto", Subposet.cube(3)):
             with pytest.raises(ValueError, match="must be >= 0"):
                 count_via_partition(Subposet.cube(3), strategy, **budget)
         with pytest.raises(ValueError, match="must be >= 0"):
@@ -1025,6 +1027,33 @@ class TestCompletenessPredicates:
         with pytest.raises(ValueError):
             is_complete_partition(Subposet.empty(2), Subposet.cube(2), "diagonal")
 
+    def test_one_cover_default(self):
+        # every predicate reads covers under the one package default, so
+        # changing it changes them all
+        for predicate in (find_v3, is_complete_partition, e2_condition_check):
+            default = inspect.signature(predicate).parameters["mode"].default
+            assert default is poset_module.DEFAULT_COVER_MODE
+        assert (
+            dedekind.DEFAULT_COVER_MODE
+            is partition_module.DEFAULT_COVER_MODE
+            is poset_module.DEFAULT_COVER_MODE
+        )
+
+    def test_one_mode_check(self):
+        A, cube = construct_layer_subset(3, "even"), Subposet.cube(3)
+        calls = (
+            lambda: find_v3(cube, "diagonal"),
+            lambda: is_complete_partition(A, cube, "diagonal"),
+            lambda: e2_condition_check(A, 3, "diagonal"),
+            lambda: CoverPair(Point(0, 3), Point(1, 3), "diagonal"),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError, match="mode must be one of") as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
     def test_face_condition_examples(self):
         odd3 = construct_layer_subset(3, "odd")
         assert e2_condition_check(odd3, 3)
@@ -1324,7 +1353,7 @@ class TestPowerOfTwoDecomposition:
             seen.add(comparable)
         assert seen == {False, True}
 
-    def test_named_map_leaves_its_pair_free(self, rng):
+    def test_named_map_leaves_its_pair_free(self, rng, monkeypatch):
         pattern = re.compile(
             r"not an antichain: ([01]+) below ([01]+) "
             r"\(n=(\d+), parity=odd, pivot values (.*)\)$"
@@ -1332,8 +1361,9 @@ class TestPowerOfTwoDecomposition:
         for A in pivot_pool(rng):
             if partition_module._free_edge(A) is None:
                 continue
+            monkeypatch.setattr(partition_module, "construct_layer_subset", lambda n, p: A)
             with pytest.raises(FalsificationError) as info:
-                partition_module._layer_polynomial(A, "odd", fresh_run())
+                decompose_power_of_two(A.dim, "odd")
             low, high, n, pivot_text = pattern.search(str(info.value)).groups()
             m, y = Point.from_text(low), Point.from_text(high)
             assert int(n) == A.dim == m.dim
@@ -1360,34 +1390,15 @@ class TestPowerOfTwoDecomposition:
     def test_nodes_count_distinct_walk_states(self):
         # 9,661 distinct (undecided, live) states on the even layer of E^6,
         # against 89,128 pivot maps; each state spends one node
-        D6 = PINNED_DEDEKIND[6]
-        assert decompose_power_of_two(6, "even", max_nodes=9661).value() == D6
+        assert decompose_power_of_two(6, "even", max_nodes=9661).value() == PINNED_DEDEKIND[6]
         with pytest.raises(BudgetExceededError):
             decompose_power_of_two(6, "even", max_nodes=9660)
-        assert count_via_partition(Subposet.cube(6), "layer", max_nodes=9661) == D6
-
-    def test_layer_strategy_is_the_even_decomposition(self):
-        # the same value from the same walk: both fit the walk's state count
-        # and both run out one node below it
-        for n in range(2, 7):
-            run = fresh_run()
-            partition_module._residual_sizes(construct_layer_subset(n, "even"), run)
-            cube = Subposet.cube(n)
-            assert count_via_partition(cube, "layer", max_nodes=run.nodes) == (
-                decompose_power_of_two(n, "even", max_nodes=run.nodes).value()
-            ) == PINNED_DEDEKIND[n]
-            with pytest.raises(BudgetExceededError):
-                count_via_partition(cube, "layer", max_nodes=run.nodes - 1)
-            with pytest.raises(BudgetExceededError):
-                decompose_power_of_two(n, "even", max_nodes=run.nodes - 1)
 
     def test_deep_walks_keep_the_budget_contract(self):
         # the walk is |A| = 1024 decisions deep here: it must run out of its
         # node budget, not of Python's recursion limit
         with pytest.raises(BudgetExceededError):
             decompose_power_of_two(11, "even", max_nodes=10_000)
-        with pytest.raises(BudgetExceededError):
-            count_via_partition(Subposet.cube(11), "layer", max_nodes=10_000)
 
     def test_walk_memo_released_on_return(self):
         decompose_power_of_two(6, "odd")  # builds the cached tables

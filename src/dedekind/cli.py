@@ -379,9 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", help="poset file (n=<dim> header, one point per line)")
     p.add_argument("--strategy", choices=("auto", "single", "layer"),
                    default="auto",
-                   help="counting strategy: auto (default) takes the interval sum "
-                        "for products T x E^2 and the engine elsewhere; single "
-                        "pins the engine; layer is a legacy spelling of "
+                   help="counting strategy: auto (default) takes the fibre sum "
+                        "over a coupled split along two coordinates (the "
+                        "interval sum for products T x E^2) and the engine "
+                        "elsewhere; single pins the engine; layer is a legacy "
+                        "spelling of "
                         "decompose --parity even's value, kept with --threads "
                         "for the benchmark's cube6_cli argv")
     p.add_argument("--threads", type=int, default=1,

@@ -13,10 +13,12 @@ which reverses the order and preserves counts), the rest by their
 membership bitset.  A residual's canonical key is its least image
 over the symmetries that sort its coordinates by a weight-histogram
 invariant, a partition refinement in the style of McKay and Piperno, so a
-key builds and compares only those few images, not all 2*d! of them.  A
-product T x E^2 with T order-connected, every full cube from E^2 up among
-them, is counted without the engine by the interval sum over pairs of
-monotone maps on T (Wiedemann, Order 8, 1991).
+key builds and compares only those few images, not all 2*d! of them.  An
+order-connected set with a coupled split along two coordinates is counted
+without the engine by the fibre sum over pairs of monotone maps on the
+split's two middle fibres.  A product T x E^2, every full cube from E^2 up
+among them, is the split whose four fibres are equal, and there the fibre
+sum is the interval sum over pairs of maps on T (Wiedemann, Order 8, 1991).
 
 Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
@@ -71,14 +73,20 @@ CANONICAL_DIM_CAP = 7
 _DIRECT_MAX_POINTS = 10
 _CANONICAL_MIN_POINTS = 20
 
-# The interval sum's reach.  Truth tables of maps on T are int64 bitsets over
-# T's points, and the sum visits |M(T)|^2 pairs: at 10^4 maps that is 10^8
-# pairs, a few seconds, with every partial sum far inside int64.  Beyond
-# either limit "auto" counts with the engine.
+# The fibre sum's reach.  Truth tables of maps on a fibre are int64 bitsets
+# over its points, and the sum visits at most |M(F01)| * |M(F10)| pairs: at
+# 10^4 maps that is 10^8 pairs, a few seconds, with every partial sum far
+# inside int64.  A split beyond either limit is dropped for the next.
 INTERVAL_MAX_POINTS = 63
 INTERVAL_MAX_MAPS = 10_000
-# Pairs per numpy block of the interval sum: a block's temporaries stay a
-# few MB.
+# A split that is not a product counts only sets of at least this many
+# points; smaller ones stay on the engine, whose shared memo counts the
+# one-point splits of E^5 faster.  In the sweep in BENCH_fibre_sum.json a
+# floor of 33 kept those at the engine's speed and was the fastest of seven
+# floors on the one-point splits of E^6 and on both E^7 corpora.
+_FIBRE_MIN_POINTS = 33
+# Pairs per numpy block of the fibre sum: a block's temporaries stay a few
+# MB.
 _INTERVAL_BLOCK_PAIRS = 1 << 18
 
 MINIMAL = "minimal"
@@ -363,11 +371,13 @@ def _count_small(bits: int, dim: int) -> int:
     return total
 
 
-def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
+def _count_bits(bits: int, dim: int, run: _EngineRun, connected: bool = False) -> int:
     """D of the point set bits of E^dim.  A residual of a few points is
     counted directly; one of several comparability components is the product
-    of its components' counts, each found in its own call; a connected one is
-    projected, looked up under one key, and pivoted on a miss."""
+    of its components' counts, each found in its own call, which is told the
+    component is connected and so skips the search for components; a
+    connected one is projected, looked up under one key, and pivoted on a
+    miss."""
     k = bits.bit_count()
     if k <= 1:
         return k + 1
@@ -375,12 +385,13 @@ def _count_bits(bits: int, dim: int, run: _EngineRun) -> int:
     if k <= _DIRECT_MAX_POINTS:
         return _count_small(bits, dim)
 
-    comps = _components(bits, dim)
-    if len(comps) > 1:
-        result = 1
-        for comp in comps:
-            result *= _count_bits(comp, dim, run)
-        return result
+    if not connected:
+        comps = _components(bits, dim)
+        if len(comps) > 1:
+            result = 1
+            for comp in comps:
+                result *= _count_bits(comp, dim, run, True)
+            return result
 
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
@@ -438,62 +449,91 @@ def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
         yield ones, covered
 
 
-def _product_factor(S: Subposet) -> Subposet | None:
-    """T when S is T x E^2, or None.  A coordinate is free when toggling it
-    maps S onto itself; S is a product over any two free coordinates.  T is
-    the points of S with the two lowest free coordinates clear, projected
-    onto the coordinates that vary across them (the order is unchanged)."""
+def _fibres(S: Subposet, i: int, j: int) -> tuple[int, int, int, int]:
+    """The fibres (F00, F01, F10, F11) of S along coordinates i < j, as
+    point-space bitsets: Fab holds the points of S whose coordinates i and
+    j read a and b, moved onto the face where both are 0, whose order is
+    that of E^(dim-2)."""
     full = (1 << S.dim) - 1
     down_t = _updown_tables(S.dim)[1]
+    clear_i, clear_j = down_t[full ^ 1 << i], down_t[full ^ 1 << j]
+    bits = S.bitset
+    return (
+        bits & clear_i & clear_j,
+        (bits & clear_i & ~clear_j) >> (1 << j),
+        (bits & ~clear_i & clear_j) >> (1 << i),
+        (bits & ~clear_i & ~clear_j) >> ((1 << i) + (1 << j)),
+    )
+
+
+def _coupled(fibres: tuple[int, int, int, int], dim: int) -> bool:
+    """Whether every pair x <= y with x in F00 and y in F11 has some z in
+    F01 or F10 with x <= z <= y.  Then the F00-F11 constraints of a map on
+    the split follow from the others, which the fibre sum needs."""
+    f00, f01, f10, f11 = fibres
+    full = (1 << dim) - 1
+    up_t, down_t = _updown_tables(dim)
+    clear = [down_t[full ^ 1 << c] for c in range(dim)]
+    middle = f01 | f10
+    rest = f00
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        over = up_t[x] & f11
+        if over:
+            # close the middle points above x upward, one coordinate at a time
+            reach = up_t[x] & middle
+            for c in range(dim):
+                reach |= (reach & clear[c]) << (1 << c)
+            if over & ~reach:
+                return False
+    return True
+
+
+def _coupled_splits(S: Subposet) -> Iterator[tuple[int, int, int, int]]:
+    """The splits of S that the fibre sum may count, best first, as their
+    fibres (see _fibres).  A split qualifies when each fibre has at most
+    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  First
+    comes one split on two free coordinates, whose toggles map S onto
+    itself, if there are two: its four fibres are equal, S is T x E^2, and
+    it is coupled through z = y.  Any such split counts the same T up to
+    isomorphism.  The others qualify only when S has at least
+    _FIBRE_MIN_POINTS points, and come by least largest fibre, then least
+    middle fibres.  Fibre sizes are popcounts, so a split is tested for
+    coupling only when its turn comes."""
+    n = S.dim
+    full = (1 << n) - 1
+    down_t = _updown_tables(n)[1]
     bits = S.bitset
     free = []
-    for i in range(S.dim):
-        clear = bits & down_t[full ^ 1 << i]  # members with coordinate i clear
-        if clear << (1 << i) == bits & ~clear:
-            free.append(i)
-            if len(free) == 2:
-                pair = 1 << free[0] | 1 << i
-                masks = [m for m in S.masks if not m & pair]
-                keep = _varying_coordinates(masks)
-                return Subposet(keep.bit_count(), tuple(_extract_bits(m, keep) for m in masks))
-    return None
+    for c in range(n):
+        clear = bits & down_t[full ^ 1 << c]  # members with coordinate c clear
+        if clear << (1 << c) == bits & ~clear:
+            free.append(c)
+    if len(free) >= 2:
+        fibres = _fibres(S, free[0], free[1])
+        if fibres[0].bit_count() <= INTERVAL_MAX_POINTS:
+            yield fibres
+    if len(S) < _FIBRE_MIN_POINTS:
+        return
+    ranked = []
+    for i, j in itertools.combinations(range(n), 2):
+        if i in free and j in free:
+            continue
+        fibres = _fibres(S, i, j)
+        sizes = [f.bit_count() for f in fibres]
+        if max(sizes) <= INTERVAL_MAX_POINTS:
+            ranked.append(((max(sizes), sizes[1] + sizes[2]), fibres))
+    ranked.sort(key=lambda r: r[0])
+    for _, fibres in ranked:
+        if _coupled(fibres, n):
+            yield fibres
 
 
-def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
-    """D(S) by the interval sum when S = T x E^2 with T order-connected,
-    |T| <= INTERVAL_MAX_POINTS and |M(T)| <= INTERVAL_MAX_MAPS; None
-    otherwise.  A T of several components is left to the engine, which
-    multiplies over them.
-
-    The four fibres of a monotone map on T x E^2 are monotone maps c <= a, b
-    <= d on T, so D(S) is the sum over pairs (a, b) of M(T)^2 of
-    below[a & b] * above[a | b]: the maps under the meet times the maps over
-    the join.  Maps are T's up-sets as the truth tables _pivot_maps yields,
-    sorted, so a meet or join is found by searchsorted.  below and above
-    come from one subset matrix, and the pair sum takes b from a's block of
-    rows on, so by symmetry it computes each unordered pair once outside
-    the blocks' diagonal squares; both run in numpy blocks of rows of at
-    most _INTERVAL_BLOCK_PAIRS pairs.  Each row a of the pair sum spends one engine node, as each walk
-    decision does, charged a block at a time before the block is summed, so
-    the deadline goes unchecked only through the below/above pass (0.16 s over
-    the 7,581 maps of E^5 on a 2-vCPU host).  The walk's decisions are
-    charged once the walk has ended under INTERVAL_MAX_MAPS; a walk that
-    reaches the cap is dropped uncharged.  At 10^4 maps and below every
-    partial sum stays far inside int64."""
-    T = _product_factor(S)
-    if T is None or len(T) > INTERVAL_MAX_POINTS or len(_components(T.bitset, T.dim)) > 1:
-        return None
-    # the walk counts its decisions apart, so that a walk that reaches the
-    # cap leaves the engine that follows all of the node budget
-    walk = _EngineRun(None, None, None)
-    walk.deadline = run.deadline
-    tables = []
-    for table, _ in _pivot_maps(T, walk):
-        if len(tables) == INTERVAL_MAX_MAPS:
-            return None
-        tables.append(table)
-    run.tick(walk.nodes)
-    maps = np.sort(np.array(tables, np.int64))
+def _order_counts(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the sorted truth tables of every monotone map on a set, the maps
+    under each map and the maps over it, from one subset matrix built in
+    numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS pairs."""
     k = len(maps)
     rows = max(1, _INTERVAL_BLOCK_PAIRS // k)
     below = np.empty(k, np.int64)
@@ -502,16 +542,118 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
         under = (maps & ~maps[r0 : r0 + rows, None]) == 0  # [i, j]: map j <= map r0 + i
         below[r0 : r0 + rows] = under.sum(axis=1)
         above += under.sum(axis=0)
+    return below, above
+
+
+def _images(maps: np.ndarray, src: int, dst: int, dim: int, meet: bool) -> np.ndarray:
+    """Carry maps on the point set src over to the point set dst of E^dim,
+    truth tables in and out: with meet, the map whose value at x is the AND
+    of the map over the points of src at or above x (1 where there are
+    none); otherwise the OR over the points of src at or below x (0 where
+    there are none).  Both are monotone on dst, and the identity when dst
+    is src."""
+    if dst == src:
+        return maps
+    table = _updown_tables(dim)[0 if meet else 1]
+    out = np.zeros(len(maps), np.int64)
+    for r, x in enumerate(_mask_list(dst)):
+        near = _extract_bits(table[x] & src, src)
+        hit = (maps & near) == near if meet else (maps & near) != 0
+        out |= hit.astype(np.int64) << r
+    return out
+
+
+def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
+    """D(S) by the fibre sum over the best coupled split of S that
+    _coupled_splits finds, or None when S is not order-connected or no
+    split qualifies with at most INTERVAL_MAX_MAPS maps on each fibre.  A
+    disconnected S is left to the engine, which multiplies over its
+    components.
+
+    A monotone map on S is four monotone maps on its fibres, each at most
+    the next where points compare across fibres; coupling makes the F00-F11
+    constraints follow from the others.  So D(S) is the sum over a in
+    M(F01) and b in M(F10) of below[phi(a) & phi'(b)] * above[psi(a) |
+    psi'(b)]: the maps on F00 under the meet of the AND images of a and b
+    (see _images) times the maps on F11 over the join of their OR images.
+    For S = T x E^2 every image is the map itself and this is the interval
+    sum over pairs of maps on T (Wiedemann, Order 8, 1991).  Maps are the
+    truth tables _pivot_maps yields, sorted, so an image is found in
+    M(F00) or M(F11) by searchsorted, and below and above come from one
+    subset matrix each (_order_counts).  When F01 = F10 the weight is
+    symmetric in a and b, so the pair sum takes b from a's block of rows
+    on and computes each unordered pair once outside the blocks' diagonal
+    squares.
+
+    Each row a of the pair sum spends one engine node, as each walk
+    decision does, charged a block at a time before the block is summed, so
+    the deadline goes unchecked only through the below/above pass (0.16 s over
+    the 7,581 maps of E^5 on a 2-vCPU host) and the images, one numpy pass
+    over a middle fibre's maps per outer point.  The decisions of a split's
+    walks (one walk per distinct fibre) are charged once they have all
+    ended under INTERVAL_MAX_MAPS; a split whose walk reaches the cap is
+    dropped uncharged and the next split is tried.  At 10^4 maps and below
+    every partial sum stays far inside int64."""
+    splits = _coupled_splits(S)
+    first = next(splits, None)
+    if first is None or len(_components(S.bitset, S.dim)) > 1:
+        return None
+    for fibres in itertools.chain((first,), splits):
+        value = _count_split(fibres, S.dim, run)
+        if value is not None:
+            return value
+    return None
+
+
+def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -> int | None:
+    """The fibre sum of _interval_sum over one coupled split, given by its
+    fibres (see _fibres), or None, uncharged, when a fibre has more than
+    INTERVAL_MAX_MAPS maps.  Each distinct fibre is walked once, and the
+    sorted truth tables of its maps are kept by fibre."""
+    # the walks count their decisions apart, so that a dropped split leaves
+    # the next one and the engine all of the node budget
+    walk = _EngineRun(None, None, None)
+    walk.deadline = run.deadline
+    maps = {}
+    for f in fibres:
+        if f in maps:
+            continue
+        tables = []
+        for table, _ in _pivot_maps(Subposet._from_bits(dim, f), walk):
+            if len(tables) == INTERVAL_MAX_MAPS:
+                return None
+            tables.append(table)
+        maps[f] = np.sort(np.array(tables, np.int64))
+    run.tick(walk.nodes)
+
+    f00, f01, f10, f11 = fibres
+    m00, m01, m10, m11 = (maps[f] for f in fibres)
+    if f11 == f00:
+        below, above = _order_counts(m00)
+    else:
+        below, above = _order_counts(m00)[0], _order_counts(m11)[1]
+    symmetric = f01 == f10
+    phi_a, psi_a = _images(m01, f01, f00, dim, True), _images(m01, f01, f11, dim, False)
+    if symmetric:
+        phi_b, psi_b = phi_a, psi_a
+    else:
+        phi_b, psi_b = _images(m10, f10, f00, dim, True), _images(m10, f10, f11, dim, False)
+    rows = max(1, _INTERVAL_BLOCK_PAIRS // len(m10))
     total = 0
-    for r0 in range(0, k, rows):
-        a = maps[r0 : r0 + rows, None]
-        run.tick(len(a))
-        b = maps[None, r0:]
-        w = below[np.searchsorted(maps, a & b)] * above[np.searchsorted(maps, a | b)]
-        # the sum is over ordered pairs: a pair with b past the block's rows
-        # stands for itself and its mirror, and the square of pairs inside
-        # the block already holds both orders
-        total += 2 * int(w[:, len(a) :].sum()) + int(w[:, : len(a)].sum())
+    for r0 in range(0, len(m01), rows):
+        a = slice(r0, r0 + rows)
+        b = slice(r0 if symmetric else 0, None)
+        run.tick(len(phi_a[a]))
+        w = (below[np.searchsorted(m00, phi_a[a, None] & phi_b[None, b])]
+             * above[np.searchsorted(m11, psi_a[a, None] | psi_b[None, b])])
+        if symmetric:
+            # the sum is over ordered pairs: a pair with b past the block's
+            # rows stands for itself and its mirror, and the square of pairs
+            # inside the block already holds both orders
+            size = w.shape[0]
+            total += 2 * int(w[:, size:].sum()) + int(w[:, :size].sum())
+        else:
+            total += int(w.sum())
     return total
 
 
@@ -628,24 +770,28 @@ def count_via_partition(
     comparability components of a disconnected one, and recurses on one
     median-weight point of maximal comparability degree of a connected one,
     memoized in cache under one key per connected residual.  "auto"
-    (default) splits S = T x E^2 by its two product coordinates into the
-    interval sum over pairs (a, b) of monotone maps on T of (maps under a
-    meet b) * (maps over a join b), with T's maps listed by the pivot walk,
-    when T is order-connected with at most INTERVAL_MAX_POINTS points and at
-    most INTERVAL_MAX_MAPS maps; elsewhere it is the engine.  A Subposet
-    pivots on that explicit subset once, then counts each residual with the
-    engine.  The interval sum leaves cache unused.  All strategies are exact
-    and agree; they differ only in work.  Counting runs on the calling
-    thread.  The power-of-two layer walk is decompose_power_of_two.
+    (default) takes the fibre sum, then the engine.  The fibre sum splits an
+    order-connected S along two coordinates into four fibres and sums over
+    pairs of monotone maps on the two middle fibres; it needs a coupled
+    split (see _coupled) whose fibres have at most INTERVAL_MAX_POINTS
+    points and INTERVAL_MAX_MAPS maps each.  A product T x E^2 takes the
+    split on two free coordinates, where the sum is the interval sum over
+    pairs of maps on T; another coupled split is taken only for S of at
+    least _FIBRE_MIN_POINTS points, smaller sets going to the engine.  A
+    Subposet pivots on that explicit subset once, then counts each residual
+    with the engine.  The fibre sum leaves cache unused.  All strategies are
+    exact and agree; they differ only in work.  Counting runs on the
+    calling thread.  The power-of-two layer walk is decompose_power_of_two.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
     engine (a direct count of a small residual is one step), the decisions
-    of a pivot walk (an explicit pivot's, or the walk listing M(T),
-    |M(T)| - 1 of them) and one per row a of the interval sum; an "auto" run
-    whose T has more than INTERVAL_MAX_MAPS maps leaves the interval sum for
-    the engine, and the walk it stopped is not charged.  A negative
-    max_nodes, or a budget_seconds that is negative or NaN, raises
+    of a pivot walk (an explicit pivot's, or the walks listing the maps on
+    a split's distinct fibres, one decision less than each walk's maps) and
+    one per row a of the fibre sum's pair loop.  A split with a fibre of
+    more than INTERVAL_MAX_MAPS maps is dropped for the next coupled split,
+    and then for the engine, and the walks it stopped are not charged.  A
+    negative max_nodes, or a budget_seconds that is negative or NaN, raises
     ValueError.
     """
     run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)
@@ -697,15 +843,17 @@ def corollary_split(
 ) -> tuple[int, int]:
     """The two-branch split of D(E^n) at a single pivot point a: counts of
     the cube minus the upper set of a and minus the lower set of a.  The two
-    share one cache, but under the default "auto" a branch with two free
-    coordinates (coordinates whose toggle maps the branch onto itself) is a
-    product T x E^2 and takes the interval sum, which never touches the
-    cache; the upper branch's free coordinates are a's zero coordinates and
-    the lower branch's its ones.  So up to n = 7 only a pivot with at most
-    one zero, or at most one one, coordinate reaches the shared memo: on E^6
-    the pivot of mask 0b000111 makes no lookup, and the pivot of mask
-    0b000001 counts its upper branch by the interval sum and only its lower
-    branch with the engine."""
+    share one cache, but under the default "auto" a branch that the fibre
+    sum counts never touches it.  The upper branch of a pivot with k zero
+    coordinates has 2^n - 2^k points, and the lower branch of a pivot with
+    k one coordinates as many.  With k >= 2 the branch is a product on two
+    of those coordinates; with k <= 1 it is not, and the fibre sum counts
+    it only from _FIBRE_MIN_POINTS points up.  So up to n = 5 only the
+    branches with k <= 1 go to the engine and its shared memo: on E^5 the
+    pivot of mask 0b00111 makes no lookup, and the pivot of mask 0b01111
+    counts its lower branch by the fibre sum and only its upper branch with
+    the engine.  At n = 6 and 7 every branch has a coupled split under the
+    map cap, and no branch reaches the memo."""
     if a.dim != n:
         raise ValueError(f"pivot dimension {a.dim} != {n}")
     up_t, down_t = _updown_tables(n)

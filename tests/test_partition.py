@@ -589,10 +589,95 @@ def comparability_components(masks) -> int:
 
 def interval_sum(S: Subposet, **budget):
     """partition._interval_sum on a fresh run: D(S), or None where the
-    interval sum does not apply."""
+    fibre sum does not apply."""
     return partition_module._interval_sum(
         S, partition_module._EngineRun(None, budget.get("max_nodes"), budget.get("budget_seconds"))
     )
+
+
+def brute_coupled(S: Subposet, i: int, j: int) -> bool:
+    """The coupling of the split of S along coordinates i and j, from its
+    definition over triples of points: every x <= y of S with coordinates
+    i and j both 0 in x and both 1 in y has a point z of S between them
+    with exactly one of the two set."""
+    pair = 1 << i | 1 << j
+    low = [x for x in S.masks if not x & pair]
+    high = [y for y in S.masks if y & pair == pair]
+    middle = [z for z in S.masks if (z & pair).bit_count() == 1]
+    return all(
+        any(x & ~z == 0 and z & ~y == 0 for z in middle)
+        for x in low for y in high if x & ~y == 0
+    )
+
+
+def split_sum(S: Subposet, i: int, j: int) -> int | None:
+    """The fibre sum over the split of S along coordinates i and j, whether
+    or not it is coupled, on a fresh run."""
+    fibres = partition_module._fibres(S, i, j)
+    return partition_module._count_split(fibres, S.dim, fresh_run())
+
+
+class TestFibreSum:
+    def test_every_split_of_small_subsets(self, rng):
+        # on a coupled split the sum is D(S); on an uncoupled one it also
+        # counts maps that break an F00-F11 order the middle fibres do not
+        # carry, so it is too large: coupling is what makes the sum exact
+        seen = Counter()
+        for n in (2, 3, 4, 5):
+            for _ in range(40 if n < 5 else 20):
+                S = random_subposet(rng, n)
+                expected = count_monotone_oracle(S)
+                for i, j in itertools.combinations(range(n), 2):
+                    coupled = partition_module._coupled(partition_module._fibres(S, i, j), n)
+                    assert coupled == brute_coupled(S, i, j)
+                    value = split_sum(S, i, j)
+                    assert value == expected if coupled else value > expected
+                    seen[coupled] += 1
+        assert seen[True] > 300 and seen[False] > 50
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_split_hypothesis(self, data):
+        n = data.draw(st.integers(2, 5))
+        i, j = sorted(data.draw(st.permutations(range(n)))[:2])
+        bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        S = Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+        coupled = brute_coupled(S, i, j)
+        assert partition_module._coupled(partition_module._fibres(S, i, j), n) == coupled
+        value, expected = split_sum(S, i, j), count_monotone_oracle(S)
+        assert value == expected if coupled else value > expected
+
+    def test_matches_engine_on_six_cube_subsets(self, rng):
+        # half-dense to dense: most sets have coupled splits that are not
+        # products, and the sum over each of them is D(S)
+        took = Counter()
+        for density in (0.5, 0.7, 0.85, 0.95):
+            for _ in range(4):
+                S = random_subposet(rng, 6, density)
+                single = count_via_partition(S, "single")
+                assert count_via_partition(S) == single
+                splits = list(partition_module._coupled_splits(S))
+                for fibres in splits:
+                    assert partition_module._count_split(fibres, 6, fresh_run()) == single
+                took[bool(splits)] += 1
+        assert took[True] >= 12
+
+    def test_matches_engine_on_six_cube_corollary_residuals(self):
+        # all 128 residuals of the one-point splits of E^6: none of them
+        # reaches the engine by default, each is a product or has a coupled
+        # split
+        up_t, down_t = _updown_tables(6)
+        full = (1 << 64) - 1
+        cache = MemoCache()
+        kinds = Counter()
+        for mask in range(64):
+            for removed in (up_t[mask], down_t[mask]):
+                S = Subposet._from_bits(6, full & ~removed)
+                fibres = next(partition_module._coupled_splits(S))
+                kinds[fibres.count(fibres[0]) == 4] += 1
+                assert interval_sum(S) == count_via_partition(S, "single", cache=cache)
+        assert kinds == {True: 114, False: 14}
+
 
 
 class TestIntervalSum:
@@ -625,6 +710,9 @@ class TestIntervalSum:
             assert interval_sum(S) is None
 
     def test_product_detection_matches_toggles(self, rng):
+        # every set here has fewer than _FIBRE_MIN_POINTS points, so the
+        # chooser yields only a split on two free coordinates, whose four
+        # fibres are equal
         sets = [Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
                 for n in (1, 2, 3) for bits in range(1 << (1 << n))]
         sets += [random_subposet(rng, n) for n in (4, 5) for _ in range(30)]
@@ -632,12 +720,16 @@ class TestIntervalSum:
                  for i, j in itertools.combinations(range(5), 2)]
         seen = set()
         for S in sets:
+            assert len(S) < partition_module._FIBRE_MIN_POINTS
             members = set(S.masks)
             free = [c for c in range(S.dim) if {m ^ 1 << c for m in members} == members]
-            T = partition_module._product_factor(S)
-            assert (T is not None) == (len(free) >= 2)
-            if T is not None:
+            splits = list(partition_module._coupled_splits(S))
+            assert len(splits) == (1 if len(free) >= 2 else 0)
+            if splits:
+                f00, f01, f10, f11 = splits[0]
+                assert f00 == f01 == f10 == f11
                 # T x E^2 rebuilt on the top two coordinates counts like S
+                T = Subposet._from_bits(S.dim, f00)
                 rebuilt = product_with_square(T.dim + 2, T.dim, T.dim + 1, T.masks)
                 assert 4 * len(T) == len(S)
                 assert count_via_partition(rebuilt, "single") == count_via_partition(S, "single")
@@ -674,13 +766,38 @@ class TestIntervalSum:
         antichain = [m for m in range(64) if m.bit_count() == 3][:14]
         S = product_with_square(8, 0, 7, [0] + antichain)
         assert (1 << 14) + 1 > partition_module.INTERVAL_MAX_MAPS
+        expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
+        # the product split's walk reaches the cap and is dropped uncharged;
+        # the next coupled split counts S
+        product, *rest = partition_module._coupled_splits(S)
+        assert product.count(product[0]) == 4 and rest
+        walk = fresh_run()
+        assert partition_module._count_split(product, S.dim, walk) is None
+        assert walk.nodes == 0
+        run = fresh_run()
+        assert partition_module._interval_sum(S, run) == expected
+        counted = fresh_run()
+        assert partition_module._count_split(rest[0], S.dim, counted) == expected
+        assert run.nodes == counted.nodes
+        assert count_via_partition(S, max_nodes=run.nodes) == expected
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(S, max_nodes=run.nodes - 1)
+
+    def test_no_coupled_split_falls_back_to_engine(self):
+        # a seeded half-dense subset of E^6, above the non-product floor,
+        # none of whose 15 splits is coupled
+        rng = random.Random(7)
+        S = random_subposet(rng, 6, 0.5)
+        assert len(S) >= partition_module._FIBRE_MIN_POINTS
+        assert comparability_components(S.masks) == 1
+        assert not any(brute_coupled(S, i, j) for i, j in itertools.combinations(range(6), 2))
         run = fresh_run()
         assert partition_module._interval_sum(S, run) is None
-        # the discarded walk is not charged, so the default fits the node
-        # budget "single" needs on S: 227,444 nodes, measured
         assert run.nodes == 0
-        expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
-        assert count_via_partition(S, max_nodes=227_444) == expected
+        single = partition_module._EngineRun(MemoCache(), None, None)
+        expected = partition_module._count_bits(S.bitset, S.dim, single)
+        assert expected == count_monotone_oracle(S)
+        assert count_via_partition(S, max_nodes=single.nodes) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
         # the walk's truth tables are the ones the enumeration oracle lists

@@ -6,7 +6,10 @@ error, 3 budget exceeded or run stopped (recursion limit, out of memory,
 interrupt), 4 theorem falsification.  JSON reports serialize
 counts as decimal strings so consumers never lose precision; the
 deterministic part of a report (everything except elapsed_ms and the memo
-table's hit and miss counts) is byte-identical across repeats.  Counting
+table's hit and miss counts) is byte-identical across repeats.  Each verify
+suite yields one (ok, lines, witnesses) record per check, with witnesses
+only for a failed check, and _cmd_verify alone gathers the records into the
+check count, the text lines and the report's witnesses.  Counting
 runs on one thread.  Two count options stay only for the argv of the
 benchmark's cube6_cli workload (ROADMAP items 4 and 5): --threads N >= 1,
 which is ignored, and --strategy layer, a legacy spelling of the value
@@ -26,8 +29,8 @@ from collections import Counter
 from .errors import BudgetExceededError, FalsificationError, PosetParseError
 from .monotone import count_monotone_oracle
 from .partition import (
+    NOT_COMPLETE,
     MemoCache,
-    _minimality,
     construct_layer_subset,
     construct_recursive_partition,
     corollary_split,
@@ -107,8 +110,7 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
     return report, [str(value)], 0
 
 
-def _verify_theorem_1(args, rng, lines, failures):
-    cases = []
+def _verify_theorem_1(args, rng):
     for idx in range(args.samples):
         density = rng.uniform(0.3, 0.95)
         s_masks = tuple(m for m in range(1 << args.n) if rng.random() < density)
@@ -119,22 +121,18 @@ def _verify_theorem_1(args, rng, lines, failures):
         total = sum(k * count_monotone_oracle(R) for R, k in residuals.items())
         direct = count_monotone_oracle(S)
         ok = total == direct
-        cases.append(ok)
-        lines.append(f"case {idx + 1}: {'pass' if ok else 'FAIL'} "
-                     f"(|S|={len(S)}, |A|={len(A)}, sum={total}, direct={direct})")
-        if not ok:
-            failures.append({
-                "case": idx + 1,
-                "S": [str(p) for p in S.points],
-                "A": [str(p) for p in A.points],
-                "term_sum": str(total),
-                "direct": str(direct),
-            })
-    return cases
+        line = (f"case {idx + 1}: {'pass' if ok else 'FAIL'} "
+                f"(|S|={len(S)}, |A|={len(A)}, sum={total}, direct={direct})")
+        yield ok, [line], [] if ok else [{
+            "case": idx + 1,
+            "S": [str(p) for p in S.points],
+            "A": [str(p) for p in A.points],
+            "term_sum": str(total),
+            "direct": str(direct),
+        }]
 
 
-def _verify_corollary(args, rng, lines, failures):
-    cases = []
+def _verify_corollary(args, rng):
     # the cube count is only the expected value (the interval sum, or a
     # direct count at n = 1, neither of which fills a memo); the cache is
     # shared between the splits
@@ -144,15 +142,12 @@ def _verify_corollary(args, rng, lines, failures):
         a = Point(mask, args.n)
         u, l = corollary_split(args.n, a, cache=cache)
         ok = u + l == expected
-        cases.append(ok)
-        lines.append(f"pivot {a}: {'pass' if ok else 'FAIL'} ({u} + {l} = {u + l})")
-        if not ok:
-            failures.append({"pivot": str(a), "upper_removed": str(u),
-                             "lower_removed": str(l), "expected": str(expected)})
-    return cases
+        line = f"pivot {a}: {'pass' if ok else 'FAIL'} ({u} + {l} = {u + l})"
+        yield ok, [line], [] if ok else [{"pivot": str(a), "upper_removed": str(u),
+                                          "lower_removed": str(l), "expected": str(expected)}]
 
 
-def _verify_theorem_2(args, rng, lines, failures):
+def _verify_theorem_2(args, rng):
     S = Subposet.cube(args.n)
     size = 1 << args.n
     agree = {mode: 0 for mode in COVER_MODES}
@@ -166,32 +161,25 @@ def _verify_theorem_2(args, rng, lines, failures):
                 agree[mode] += 1
             else:
                 disagreements[mode].append(A)
-    cases = []
+    lines = []
     for mode in COVER_MODES:
-        ok = agree[mode] == total
-        cases.append(ok)
+        wrong = disagreements[mode]
         lines.append(f"mode {mode}: agrees with the definitional oracle on "
                      f"{agree[mode]}/{total} subsets"
-                     + ("" if ok else " (disagrees on "
+                     + ("" if not wrong else " (disagrees on "
                         + ", ".join("{" + ",".join(str(p) for p in A.points) + "}"
-                                    for A in disagreements[mode][:3])
-                        + (", ..." if len(disagreements[mode]) > 3 else "") + ")"))
+                                    for A in wrong[:3])
+                        + (", ..." if len(wrong) > 3 else "") + ")"))
     full = [mode for mode in COVER_MODES if agree[mode] == total]
     lines.append(f"fully agreeing mode(s): {', '.join(full) if full else 'none'}; "
                  f"package default: {DEFAULT_COVER_MODE}")
-    # the experiment passes when at least one mode agrees everywhere and the
-    # package documents an agreeing mode as its default
-    verdict = bool(full) and DEFAULT_COVER_MODE in full
-    if not verdict:
-        failures.append({
-            "agreement": {m: agree[m] for m in COVER_MODES},
-            "default": DEFAULT_COVER_MODE,
-        })
-    return [verdict]
+    # the experiment is one check: it passes when at least one mode agrees
+    # everywhere and the package documents an agreeing mode as its default
+    ok = DEFAULT_COVER_MODE in full
+    yield ok, lines, [] if ok else [{"agreement": agree, "default": DEFAULT_COVER_MODE}]
 
 
-def _verify_theorem_3(args, rng, lines, failures):
-    cases = []
+def _verify_theorem_3(args, rng):
     for i in range(1, args.n + 1):
         bit = 1 << (i - 1)
         for parity in ("even", "odd"):
@@ -200,16 +188,12 @@ def _verify_theorem_3(args, rng, lines, failures):
             A = construct_recursive_partition(args.n, i, seed)
             ok = (is_complete_partition(A, Subposet.cube(args.n))
                   and len(A) == 1 << (args.n - 1))
-            cases.append(ok)
-            lines.append(f"coordinate {i}, {parity} seed: "
-                         f"{'pass' if ok else 'FAIL'} (|A|={len(A)})")
-            if not ok:
-                failures.append({"coordinate": i, "parity": parity,
-                                 "A": [str(p) for p in A.points]})
-    return cases
+            line = f"coordinate {i}, {parity} seed: {'pass' if ok else 'FAIL'} (|A|={len(A)})"
+            yield ok, [line], [] if ok else [{"coordinate": i, "parity": parity,
+                                              "A": [str(p) for p in A.points]}]
 
 
-def _verify_lemma2(args, rng, lines, failures):
+def _verify_lemma2(args, rng):
     S = Subposet.cube(args.n)
     size = 1 << args.n
     half = 1 << (args.n - 1)
@@ -224,54 +208,45 @@ def _verify_lemma2(args, rng, lines, failures):
             pool.append(tuple(m for m in range(size) if rng.random() < density))
         pool += [construct_layer_subset(args.n, p).masks for p in ("even", "odd")]
         label = f"{len(pool)} sampled subsets"
-    checked = violations = 0
+    # the size law over the whole pool is one check, whose witnesses are
+    # its violations
+    checked = 0
+    violations = []
     for masks in pool:
         A = Subposet(args.n, masks)
         if not A.masks or not is_complete_partition(A, S):
             continue
         checked += 1
         v_free = find_v3(A) is None
-        ok = len(A) >= half and ((len(A) == half) == v_free)
-        if not ok:
-            violations += 1
-            failures.append({"A": [str(p) for p in A.points], "size": len(A),
-                             "v_free": v_free, "bound": half})
-    lines.append(f"{label}: {checked} complete partitions, "
-                 f"{violations} size-law violations")
-    return [violations == 0]
+        if not (len(A) >= half and (len(A) == half) == v_free):
+            violations.append({"A": [str(p) for p in A.points], "size": len(A),
+                               "v_free": v_free, "bound": half})
+    line = f"{label}: {checked} complete partitions, {len(violations)} size-law violations"
+    yield not violations, [line], violations
 
 
-def _verify_lemma3(args, rng, lines, failures):
-    cases = []
+def _verify_lemma3(args, rng):
     S = Subposet.cube(args.n)
     for parity in ("even", "odd"):
         A = construct_layer_subset(args.n, parity)
         complete = is_complete_partition(A, S)
         v_free = find_v3(A) is None
-        sized = len(A) == 1 << (args.n - 1)
-        ok = complete and v_free and sized
-        cases.append(ok)
-        lines.append(f"{parity} layer: complete={complete}, v_free={v_free}, "
-                     f"size={len(A)} -> {'pass' if ok else 'FAIL'}")
-        if not ok:
-            failures.append({"parity": parity, "complete": complete,
-                             "v_free": v_free, "size": len(A)})
-    return cases
+        ok = complete and v_free and len(A) == 1 << (args.n - 1)
+        line = (f"{parity} layer: complete={complete}, v_free={v_free}, "
+                f"size={len(A)} -> {'pass' if ok else 'FAIL'}")
+        yield ok, [line], [] if ok else [{"parity": parity, "complete": complete,
+                                          "v_free": v_free, "size": len(A)}]
 
 
-def _verify_theorem_4(args, rng, lines, failures):
-    cases = []
+def _verify_theorem_4(args, rng):
     expected = count_via_partition(Subposet.cube(args.n))
     for parity in ("even", "odd"):
         poly = decompose_power_of_two(args.n, parity)
         ok = poly.value() == expected
-        cases.append(ok)
-        lines.append(f"{parity}: {poly} = {poly.value()} "
-                     f"{'==' if ok else '!='} {expected}")
-        if not ok:
-            failures.append({"parity": parity, "polynomial": poly.as_dict(),
-                             "value": str(poly.value()), "expected": str(expected)})
-    return cases
+        line = f"{parity}: {poly} = {poly.value()} {'==' if ok else '!='} {expected}"
+        yield ok, [line], [] if ok else [{"parity": parity, "polynomial": poly.as_dict(),
+                                          "value": str(poly.value()),
+                                          "expected": str(expected)}]
 
 
 # theorem -> (suite, title, least n, largest n)
@@ -295,8 +270,12 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
         raise PosetParseError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
     lines = [f"verify {args.theorem}: {title} (n={args.n})"]
+    cases: list[bool] = []
     failures: list[dict] = []
-    cases = runner(args, rng, lines, failures)
+    for ok, text, witnesses in runner(args, rng):
+        cases.append(ok)
+        lines += text
+        failures += witnesses
     passed = sum(cases)
     lines.append(f"{passed}/{len(cases)} checks passed")
     result = {"checks": len(cases), "passed": passed}
@@ -336,16 +315,18 @@ def _cmd_check_complete(args) -> tuple[dict, list[str], int]:
     n = A.dim
     if n < 1:
         raise PosetParseError("check-complete needs dimension >= 1")
-    S = Subposet.cube(n)
+    remainder = Subposet.cube(n).minus(A)
     mode = args.mode
-    witness = find_v3(S.minus(A), mode)
-    complete = witness is None
-    # minimality is read under the default covers: in that mode the search
-    # above already tells whether A is complete
+    # minimality is read under the default covers, and in that mode its
+    # search of the remainder tells whether A is complete: the remainder is
+    # searched again only for the V-shape a non-complete A leaves
     if mode == DEFAULT_COVER_MODE:
-        classification = _minimality(A, complete)
-    else:
         classification = minimality_check(A, n)
+        witness = None if classification != NOT_COMPLETE else find_v3(remainder, mode)
+    else:
+        witness = find_v3(remainder, mode)
+        classification = minimality_check(A, n)
+    complete = witness is None
     lines = [
         f"subset of E^{n}, size {len(A)}",
         f"complete ({mode} covers): {'yes' if complete else 'no'}",

@@ -565,10 +565,12 @@ def _images(maps: np.ndarray, src: int, dst: int, dim: int, meet: bool) -> np.nd
 
 def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     """D(S) by the fibre sum over the best coupled split of S that
-    _coupled_splits finds, or None when S is not order-connected or no
-    split qualifies with at most INTERVAL_MAX_MAPS maps on each fibre.  A
-    disconnected S is left to the engine, which multiplies over its
-    components.
+    _coupled_splits finds, or None when S has at most one point, is not
+    order-connected, or has no split that qualifies with at most
+    INTERVAL_MAX_MAPS maps on each fibre.  The engine counts a set of at
+    most one point with no node (the empty set's four empty fibres would
+    charge a pair-sum row), and multiplies over the components of a
+    disconnected S.
 
     A monotone map on S is four monotone maps on its fibres, each at most
     the next where points compare across fibres; coupling makes the F00-F11
@@ -594,6 +596,8 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     ended under INTERVAL_MAX_MAPS; a split whose walk reaches the cap is
     dropped uncharged and the next split is tried.  At 10^4 maps and below
     every partial sum stays far inside int64."""
+    if len(S) <= 1:
+        return None
     splits = _coupled_splits(S)
     first = next(splits, None)
     if first is None or len(_components(S.bitset, S.dim)) > 1:
@@ -1047,17 +1051,11 @@ def minimality_check(A: Subposet, n: int) -> str:
         raise ValueError("minimality is defined for n >= 1")
     if A.dim != n:
         raise ValueError(f"pivot dimension {A.dim} != {n}")
-    return _minimality(A, bool(A.masks) and is_complete_partition(A, Subposet.cube(n)))
-
-
-def _minimality(A: Subposet, complete: bool) -> str:
-    """minimality_check's verdict on a pivot subset of E^A.dim, given
-    whether A completely partitions the cube under DEFAULT_COVER_MODE."""
     # an empty pivot partitions nothing; without this the vacuously V-free
     # remainder E^1 would slip past the predicate and falsify the size law
-    if not (complete and A.masks):
+    if not A.masks or not is_complete_partition(A, Subposet.cube(n)):
         return NOT_COMPLETE
-    half = 1 << (A.dim - 1)
+    half = 1 << (n - 1)
     if find_v3(A, DEFAULT_COVER_MODE) is None:
         if len(A) != half:
             raise FalsificationError(

@@ -390,6 +390,14 @@ class TestEngine:
             count_via_partition(Subposet.cube(3), max_nodes=0)
         assert count_via_partition(Subposet(3, (5,)), max_nodes=0) == 2
 
+    def test_empty_set_needs_no_node(self):
+        # every coordinate of the empty set is free, but its product split
+        # of four empty fibres would charge a pair-sum row: the default
+        # leaves it to the engine, which counts it with no node
+        for n in range(8):
+            for strategy in ("single", "auto"):
+                assert count_via_partition(Subposet.empty(n), strategy, max_nodes=0) == 1
+
     def test_explicit_pivot_walk_spends_node_budget(self):
         # pivoting on the whole cube leaves residuals of at most one point,
         # which never reach the engine's recursion: the walk itself must tick
@@ -663,9 +671,10 @@ class TestFibreSum:
         assert took[True] >= 12
 
     def test_matches_engine_on_six_cube_corollary_residuals(self):
-        # all 128 residuals of the one-point splits of E^6: none of them
-        # reaches the engine by default, each is a product or has a coupled
-        # split
+        # all 128 residuals of the one-point splits of E^6: each is a product
+        # or has a coupled split, and none but the empty one (the cube minus
+        # the up-set of its bottom), which needs no node, reaches the engine
+        # by default
         up_t, down_t = _updown_tables(6)
         full = (1 << 64) - 1
         cache = MemoCache()
@@ -675,7 +684,8 @@ class TestFibreSum:
                 S = Subposet._from_bits(6, full & ~removed)
                 fibres = next(partition_module._coupled_splits(S))
                 kinds[fibres.count(fibres[0]) == 4] += 1
-                assert interval_sum(S) == count_via_partition(S, "single", cache=cache)
+                single = count_via_partition(S, "single", cache=cache)
+                assert interval_sum(S) == (single if S.masks else None)
         assert kinds == {True: 114, False: 14}
 
 
@@ -694,7 +704,8 @@ class TestIntervalSum:
     def test_matches_engine_on_products_hypothesis(self, data):
         # T of at most 12 points in E^(n-2), the square on two random
         # coordinates, not always the two lowest; half the draws add T's
-        # bottom, which joins every component
+        # bottom, which joins every component.  An empty T leaves the empty
+        # set, which has no component and goes to the engine
         n = data.draw(st.integers(2, 7))
         i, j = sorted(data.draw(st.permutations(range(n)))[:2])
         size = data.draw(st.integers(0, min(12, 1 << (n - 2))))
@@ -704,7 +715,7 @@ class TestIntervalSum:
         S = product_with_square(n, i, j, t_masks)
         single = count_via_partition(S, "single")
         assert count_via_partition(S) == single
-        if comparability_components(t_masks) <= 1:
+        if comparability_components(t_masks) == 1:
             assert interval_sum(S) == single
         else:
             assert interval_sum(S) is None
@@ -782,6 +793,23 @@ class TestIntervalSum:
         assert count_via_partition(S, max_nodes=run.nodes) == expected
         with pytest.raises(BudgetExceededError):
             count_via_partition(S, max_nodes=run.nodes - 1)
+
+    def test_every_split_dropped_falls_back_to_engine(self, monkeypatch):
+        # E^6 minus its bottom is connected, with 63 points and 15 coupled
+        # splits; under a cap of two maps every split's walk reaches the
+        # cap, so the fibre sum gives up uncharged and the engine counts
+        S = Subposet(6, tuple(range(1, 64)))
+        monkeypatch.setattr(partition_module, "INTERVAL_MAX_MAPS", 2)
+        assert len(list(partition_module._coupled_splits(S))) == 15
+        run = fresh_run()
+        assert partition_module._interval_sum(S, run) is None
+        assert run.nodes == 0
+        engine = partition_module._EngineRun(MemoCache(), None, None)
+        single = partition_module._count_bits(S.bitset, S.dim, engine)
+        assert single == count_via_partition(S, "single") == PINNED_DEDEKIND[6] - 1
+        assert count_via_partition(S, max_nodes=engine.nodes) == single
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(S, max_nodes=engine.nodes - 1)
 
     def test_no_coupled_split_falls_back_to_engine(self):
         # a seeded half-dense subset of E^6, above the non-product floor,

@@ -3,6 +3,7 @@ and the cover-preserving isomorphism routine."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -402,7 +403,71 @@ class TestFindV3:
             assert weight(a) == weight(b)
 
 
+def brute_isomorphic(P: Subposet, Q: Subposet) -> bool:
+    """Whether some bijection P -> Q carries the induced covers of P exactly
+    onto those of Q, tried over every bijection."""
+    if len(P) != len(Q):
+        return False
+    p_covers = {(c.lower.mask, c.upper.mask) for c in induced_cover_pairs(P)}
+    q_covers = {(c.lower.mask, c.upper.mask) for c in induced_cover_pairs(Q)}
+    for image in itertools.permutations(Q.masks):
+        f = dict(zip(P.masks, image))
+        if {(f[x], f[y]) for x, y in p_covers} == q_covers:
+            return True
+    return False
+
+
+def degree_signatures(S: Subposet) -> list[tuple[int, int]]:
+    """The sorted (upper covers, lower covers) counts of S's points."""
+    pairs = induced_cover_pairs(S)
+    return sorted((sum(c.lower.mask == m for c in pairs),
+                   sum(c.upper.mask == m for c in pairs)) for m in S.masks)
+
+
 class TestCoverIsomorphism:
+    def test_sizes_differ(self):
+        for P, Q in [(S(2, "00", "11"), S(2, "00", "10", "11")), (S(2), S(2, "01"))]:
+            assert not cover_preserving_isomorphic(P, Q)
+            assert not cover_preserving_isomorphic(Q, P)
+            assert not brute_isomorphic(P, Q)
+
+    def test_equal_degree_signatures_not_isomorphic(self):
+        # the signatures agree, so the backtracking runs, undoes every
+        # candidate and returns False
+        P = Subposet(4, (0, 7, 8, 10, 11))
+        Q = Subposet(4, (0, 3, 11, 12, 13))
+        assert degree_signatures(P) == degree_signatures(Q)
+        assert not cover_preserving_isomorphic(P, Q)
+        assert not brute_isomorphic(P, Q)
+
+    def test_backtracks_past_a_failed_candidate(self):
+        # an isomorphic pair on which the first degree-compatible candidate
+        # of some point leads to a dead end, so an assignment is undone
+        # before the isomorphism is found
+        P = Subposet(4, (1, 2, 5, 10, 14, 15))
+        Q = Subposet(4, (2, 3, 4, 11, 13, 15))
+        assert cover_preserving_isomorphic(P, Q)
+        assert cover_preserving_isomorphic(Q, P)
+        assert brute_isomorphic(P, Q)
+
+    def test_matches_brute_force(self, rng):
+        # random pairs of at most six points, half of them a set and a
+        # coordinate relabelling of another set of the same size
+        agree = Counter()
+        for _ in range(150):
+            n = rng.randrange(2, 5)
+            k = rng.randrange(min(7, 1 << n))
+            P = Subposet(n, tuple(sorted(rng.sample(range(1 << n), k))))
+            Q = Subposet(n, tuple(sorted(rng.sample(range(1 << n), k))))
+            if rng.random() < 0.5:
+                perm = rng.sample(range(n), n)
+                Q = Subposet(n, tuple(sorted(
+                    sum((m >> i & 1) << perm[i] for i in range(n)) for m in Q.masks)))
+            expected = brute_isomorphic(P, Q)
+            assert cover_preserving_isomorphic(P, Q) == expected
+            agree[expected] += 1
+        assert agree[True] and agree[False]
+
     def test_identity(self):
         sub = S(3, "000", "110", "011")
         assert cover_preserving_isomorphic(sub, sub)

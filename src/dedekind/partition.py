@@ -493,34 +493,31 @@ def _coupled(fibres: tuple[int, int, int, int], dim: int) -> bool:
 def _coupled_splits(S: Subposet) -> Iterator[tuple[int, int, int, int]]:
     """The splits of S that the fibre sum may count, best first, as their
     fibres (see _fibres).  A split qualifies when each fibre has at most
-    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  First
-    comes one split on two free coordinates, whose toggles map S onto
-    itself, if there are two: its four fibres are equal, S is T x E^2, and
-    it is coupled through z = y.  Any such split counts the same T up to
-    isomorphism.  The others qualify only when S has at least
-    _FIBRE_MIN_POINTS points, and come by least largest fibre, then least
-    middle fibres.  Fibre sizes are popcounts, so a split is tested for
-    coupling only when its turn comes."""
+    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  A split
+    is a product when its four fibres are equal: then S is T x E^2, both of
+    its coordinates are free (toggling either maps S onto itself), and it
+    is coupled through z = y.  The first product split, in the order of
+    coordinate pairs, is yielded as soon as the loop meets it, before any
+    split is ranked, and every later one is skipped: they all count the
+    same T up to isomorphism.  The other splits qualify only when S has at
+    least _FIBRE_MIN_POINTS points, and come after it by least largest
+    fibre, then least middle fibres.  Fibre sizes are popcounts, so a split
+    is tested for coupling only when its turn comes."""
     n = S.dim
-    full = (1 << n) - 1
-    down_t = _updown_tables(n)[1]
-    bits = S.bitset
-    free = []
-    for c in range(n):
-        clear = bits & down_t[full ^ 1 << c]  # members with coordinate c clear
-        if clear << (1 << c) == bits & ~clear:
-            free.append(c)
-    if len(free) >= 2:
-        fibres = _fibres(S, free[0], free[1])
-        if fibres[0].bit_count() <= INTERVAL_MAX_POINTS:
-            yield fibres
+    product = False
+    others = []
+    for i, j in itertools.combinations(range(n), 2):
+        fibres = _fibres(S, i, j)
+        if fibres.count(fibres[0]) < 4:
+            others.append(fibres)
+        elif not product:
+            product = True
+            if fibres[0].bit_count() <= INTERVAL_MAX_POINTS:
+                yield fibres
     if len(S) < _FIBRE_MIN_POINTS:
         return
     ranked = []
-    for i, j in itertools.combinations(range(n), 2):
-        if i in free and j in free:
-            continue
-        fibres = _fibres(S, i, j)
+    for fibres in others:
         sizes = [f.bit_count() for f in fibres]
         if max(sizes) <= INTERVAL_MAX_POINTS:
             ranked.append(((max(sizes), sizes[1] + sizes[2]), fibres))
@@ -567,10 +564,11 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     """D(S) by the fibre sum over the best coupled split of S that
     _coupled_splits finds, or None when S has at most one point, is not
     order-connected, or has no split that qualifies with at most
-    INTERVAL_MAX_MAPS maps on each fibre.  The engine counts a set of at
-    most one point with no node (the empty set's four empty fibres would
-    charge a pair-sum row), and multiplies over the components of a
-    disconnected S.
+    INTERVAL_MAX_MAPS maps on each fibre.  Connectivity is tested before
+    any split is made, and the splits are tried in _coupled_splits' order
+    until one counts S.  The engine counts a set of at most one point with
+    no node (the empty set's four empty fibres would charge a pair-sum
+    row), and multiplies over the components of a disconnected S.
 
     A monotone map on S is four monotone maps on its fibres, each at most
     the next where points compare across fibres; coupling makes the F00-F11
@@ -596,13 +594,9 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     ended under INTERVAL_MAX_MAPS; a split whose walk reaches the cap is
     dropped uncharged and the next split is tried.  At 10^4 maps and below
     every partial sum stays far inside int64."""
-    if len(S) <= 1:
+    if len(S) <= 1 or len(_components(S.bitset, S.dim)) > 1:
         return None
-    splits = _coupled_splits(S)
-    first = next(splits, None)
-    if first is None or len(_components(S.bitset, S.dim)) > 1:
-        return None
-    for fibres in itertools.chain((first,), splits):
+    for fibres in _coupled_splits(S):
         value = _count_split(fibres, S.dim, run)
         if value is not None:
             return value
@@ -612,8 +606,12 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
 def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -> int | None:
     """The fibre sum of _interval_sum over one coupled split, given by its
     fibres (see _fibres), or None, uncharged, when a fibre has more than
-    INTERVAL_MAX_MAPS maps.  Each distinct fibre is walked once, and the
-    sorted truth tables of its maps are kept by fibre."""
+    INTERVAL_MAX_MAPS maps.  Everything is computed once per distinct
+    fibre and kept in dicts keyed by fibre: the walk and the sorted truth
+    tables of its maps, the order counts of F00 and F11, and the images of
+    F01 and F10.  So a product, whose four fibres are equal, walks and
+    counts one fibre and needs no image, and only the pair sum asks whether
+    F01 = F10."""
     # the walks count their decisions apart, so that a dropped split leaves
     # the next one and the engine all of the node budget
     walk = _EngineRun(None, None, None)
@@ -631,20 +629,18 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
     run.tick(walk.nodes)
 
     f00, f01, f10, f11 = fibres
-    m00, m01, m10, m11 = (maps[f] for f in fibres)
-    if f11 == f00:
-        below, above = _order_counts(m00)
-    else:
-        below, above = _order_counts(m00)[0], _order_counts(m11)[1]
+    counts = {f: _order_counts(maps[f]) for f in {f00, f11}}
+    images = {
+        f: (_images(maps[f], f, f00, dim, True), _images(maps[f], f, f11, dim, False))
+        for f in {f01, f10}
+    }
+    below, above = counts[f00][0], counts[f11][1]
+    (phi_a, psi_a), (phi_b, psi_b) = images[f01], images[f10]
+    m00, m11 = maps[f00], maps[f11]
+    rows = max(1, _INTERVAL_BLOCK_PAIRS // len(phi_b))
     symmetric = f01 == f10
-    phi_a, psi_a = _images(m01, f01, f00, dim, True), _images(m01, f01, f11, dim, False)
-    if symmetric:
-        phi_b, psi_b = phi_a, psi_a
-    else:
-        phi_b, psi_b = _images(m10, f10, f00, dim, True), _images(m10, f10, f11, dim, False)
-    rows = max(1, _INTERVAL_BLOCK_PAIRS // len(m10))
     total = 0
-    for r0 in range(0, len(m01), rows):
+    for r0 in range(0, len(phi_a), rows):
         a = slice(r0, r0 + rows)
         b = slice(r0 if symmetric else 0, None)
         run.tick(len(phi_a[a]))

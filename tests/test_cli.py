@@ -359,6 +359,13 @@ class TestCheckComplete:
         assert "apex 00" in out
         assert "classification: not_complete" in out
 
+    def test_zero_dimension_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty0.txt"
+        path.write_text("n=0\n")
+        code, out, err = run(capsys, "check-complete", "--subset", str(path))
+        assert (code, out) == (2, "")
+        assert "check-complete needs dimension >= 1" in err
+
     def test_full_cube_subset(self, capsys, tmp_path):
         path = write_poset(tmp_path, "cube3.txt", Subposet.cube(3))
         code, out, _ = run(capsys, "check-complete", "--subset", path)

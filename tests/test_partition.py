@@ -747,6 +747,41 @@ class TestIntervalSum:
             seen.add(len(free) >= 2)
         assert seen == {False, True}
 
+    def test_chooser_rule_above_the_floor(self):
+        # T x E^3 at dim 7, T a seeded subset of E^4 holding its bottom, the
+        # cube on coordinates 1, 4 and 6: 72 points, above
+        # _FIBRE_MIN_POINTS, so the coupled splits that are not products are
+        # listed too, after the one product split the chooser keeps
+        rng = random.Random(3)
+        t_masks = [0] + [m for m in range(1, 16) if rng.random() < 0.5]
+        S = product_with_square(7, 1, 4, [t | x << 4 for t in t_masks for x in (0, 1)])
+        assert len(S) == 72 >= partition_module._FIBRE_MIN_POINTS
+        members = set(S.masks)
+        free = [c for c in range(7) if {m ^ 1 << c for m in members} == members]
+        assert {1, 4, 6} <= set(free)
+        splits = list(partition_module._coupled_splits(S))
+        assert len(splits) == 16
+        equal = [fibres for fibres in splits if fibres.count(fibres[0]) == 4]
+        assert equal == splits[:1] == [partition_module._fibres(S, free[0], free[1])]
+        rest = splits[1:]
+        sizes = [[f.bit_count() for f in fibres] for fibres in rest]
+        ranks = [(max(s), s[1] + s[2]) for s in sizes]
+        assert ranks == sorted(ranks)
+        by_pair = {(i, j): partition_module._fibres(S, i, j)
+                   for i, j in itertools.combinations(range(7), 2)}
+        for fibres in rest:
+            assert any(brute_coupled(S, i, j) for (i, j), f in by_pair.items() if f == fibres)
+        qualifying = [
+            fibres for (i, j), fibres in by_pair.items()
+            if fibres.count(fibres[0]) < 4
+            and max(f.bit_count() for f in fibres) <= partition_module.INTERVAL_MAX_POINTS
+            and brute_coupled(S, i, j)
+        ]
+        assert sorted(rest) == sorted(qualifying)
+        # E^8's product splits have fibres of 64 points, and every other
+        # split has a fibre at least as large
+        assert list(partition_module._coupled_splits(Subposet.cube(8))) == []
+
     def test_non_product_counted_by_engine(self):
         for S in (Subposet(3, (0, 1, 3)), Subposet.cube(1), Subposet(2, (0, 1, 2))):
             assert interval_sum(S) is None

@@ -190,6 +190,20 @@ class TestSubposet:
         chain = S(3, "000", "100", "110")
         assert chain.dual().masks == tuple(sorted(7 ^ m for m in chain.masks))
 
+    def test_from_points_needs_one_known_dimension(self):
+        with pytest.raises(ValueError, match="cannot infer dimension"):
+            Subposet.from_points([])
+        with pytest.raises(ValueError, match="all points must share one dimension"):
+            Subposet.from_points([P("01"), P("011")])
+        assert Subposet.from_points([P("11"), P("10")]) == S(2, "10", "11")
+
+    def test_minus_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            Subposet.cube(2).minus(Subposet.cube(3))
+
+    def test_iterates_points_in_mask_order(self):
+        assert list(Subposet(2, (3, 1))) == [Point(1, 2), Point(3, 2)]
+
     def test_text_roundtrip(self):
         sub = S(3, "000", "110", "011")
         again = Subposet.from_text(sub.to_text())
@@ -348,6 +362,12 @@ class TestFindV3:
             V3Witness(P("00"), (P("01"), P("11")), "up")
         with pytest.raises(ValueError):
             V3Witness(P("00"), (P("01"), P("10")), "diagonal")
+
+    def test_witness_arms_sorted_and_distinct(self):
+        # "01" is mask 2 and "10" mask 1
+        for arms in ((P("01"), P("10")), (P("10"), P("10"))):
+            with pytest.raises(ValueError, match="arms must be sorted"):
+                V3Witness(P("00"), arms, "up")
 
     def test_lexicographic_tie_break(self):
         w = find_v3(Subposet.cube(3))

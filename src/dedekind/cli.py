@@ -133,9 +133,8 @@ def _verify_theorem_1(args, rng):
 
 
 def _verify_corollary(args, rng):
-    # the cube count is only the expected value (the interval sum, or a
-    # direct count at n = 1, neither of which fills a memo); the cache is
-    # shared between the splits
+    # the cube count is only the expected value; the cache is shared between
+    # the splits, which count each isomorphism class of branch once
     expected = count_via_partition(Subposet.cube(args.n))
     cache = MemoCache()
     for mask in range(1 << args.n):
@@ -252,7 +251,7 @@ def _verify_theorem_4(args, rng):
 # theorem -> (suite, title, least n, largest n)
 _VERIFY_RUNNERS = {
     "1": (_verify_theorem_1, "partition identity on random (S, A) pairs", 1, 5),
-    "corollary": (_verify_corollary, "single-point split sums", 1, 5),
+    "corollary": (_verify_corollary, "single-point split sums", 1, 6),
     "2": (_verify_theorem_2, "completeness equivalence experiment", 2, 3),
     "3": (_verify_theorem_3, "mirror-complement construction", 2, 6),
     "lemma2": (_verify_lemma2, "complete-partition size law", 2, 4),

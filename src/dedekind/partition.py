@@ -80,10 +80,9 @@ _CANONICAL_MIN_POINTS = 20
 INTERVAL_MAX_POINTS = 63
 INTERVAL_MAX_MAPS = 10_000
 # A split that is not a product counts only sets of at least this many
-# points; smaller ones stay on the engine, whose shared memo counts the
-# one-point splits of E^5 faster.  In the sweep in BENCH_fibre_sum.json a
-# floor of 33 kept those at the engine's speed and was the fastest of seven
-# floors on the one-point splits of E^6 and on both E^7 corpora.
+# points; smaller ones stay on the engine.  In the sweep in
+# BENCH_fibre_sum.json a floor of 33 was the fastest of seven on both E^7
+# corpora.
 _FIBRE_MIN_POINTS = 33
 # Pairs per numpy block of the fibre sum: a block's temporaries stay a few
 # MB.
@@ -147,7 +146,8 @@ class MemoCache:
     connected residual it pivots on under one key: its canonical form,
     bytes, when it is large and of dimension at most CANONICAL_DIM_CAP, and
     otherwise the literal key of the projected residual, an int (see
-    _literal_key).
+    _literal_key).  corollary_split stores the count of each branch it
+    counts under the branch's canonical_key, bytes too.
 
     Unbounded: every entry stays until clear().  hits and misses are running
     statistics over literal and canonical lookups alike.  A value of None
@@ -262,6 +262,14 @@ def canonical_key(S: Subposet) -> bytes:
 # the counting engine
 
 
+def _check_budgets(max_nodes, budget_seconds) -> None:
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    # written so that NaN fails too
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
+
+
 class _EngineRun:
     """Mutable per-call state: the engine's memo (None on the pivot walks'
     own runs, which never reach the engine), budgets, node statistics."""
@@ -269,11 +277,7 @@ class _EngineRun:
     __slots__ = ("cache", "max_nodes", "deadline", "nodes")
 
     def __init__(self, cache: MemoCache | None, max_nodes, budget_seconds):
-        if max_nodes is not None and max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
-        # written so that NaN fails too
-        if budget_seconds is not None and not budget_seconds >= 0:
-            raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
+        _check_budgets(max_nodes, budget_seconds)
         self.cache = cache
         self.max_nodes = max_nodes
         self.deadline = (
@@ -842,30 +846,34 @@ def corollary_split(
     budget_seconds: float | None = None,
 ) -> tuple[int, int]:
     """The two-branch split of D(E^n) at a single pivot point a: counts of
-    the cube minus the upper set of a and minus the lower set of a.  The two
-    share one cache, but under the default "auto" a branch that the fibre
-    sum counts never touches it.  The upper branch of a pivot with k zero
-    coordinates has 2^n - 2^k points, and the lower branch of a pivot with
-    k one coordinates as many.  With k >= 2 the branch is a product on two
-    of those coordinates; with k <= 1 it is not, and the fibre sum counts
-    it only from _FIBRE_MIN_POINTS points up.  So up to n = 5 only the
-    branches with k <= 1 go to the engine and its shared memo: on E^5 the
-    pivot of mask 0b00111 makes no lookup, and the pivot of mask 0b01111
-    counts its lower branch by the fibre sum and only its upper branch with
-    the engine.  At n = 6 and 7 every branch has a coupled split under the
-    map cap, and no branch reaches the memo."""
+    the cube minus the upper set of a and minus the lower set of a.  Each
+    branch is looked up in cache under its canonical_key; only on a miss is
+    it counted by count_via_partition, and the count stored under that key.
+    Equal keys are isomorphic sets up to duality, so up to dimension
+    CANONICAL_DIM_CAP a cache shared over the pivots of E^n counts at most
+    n + 1 branches: the upper branch is fixed up to isomorphism by the
+    weight of a, and the lower branch is dual to an upper one.  These are
+    the bytes the engine stores for a projected residual, so an entry the
+    engine made answers a branch too.  A hit spends no engine node.  The
+    budgets bound each count made, and a bad budget raises ValueError
+    before any lookup."""
     if a.dim != n:
         raise ValueError(f"pivot dimension {a.dim} != {n}")
+    _check_budgets(max_nodes, budget_seconds)
     up_t, down_t = _updown_tables(n)
     full = (1 << (1 << n)) - 1
     shared = cache if cache is not None else MemoCache()
-    kwargs = dict(cache=shared, max_nodes=max_nodes, budget_seconds=budget_seconds)
-    upper_removed = Subposet._from_bits(n, full & ~up_t[a.mask])
-    lower_removed = Subposet._from_bits(n, full & ~down_t[a.mask])
-    return (
-        count_via_partition(upper_removed, **kwargs),
-        count_via_partition(lower_removed, **kwargs),
-    )
+    counts = []
+    for removed in (up_t[a.mask], down_t[a.mask]):
+        branch = Subposet._from_bits(n, full & ~removed)
+        key = canonical_key(branch)
+        value = shared.get(key)
+        if value is None:
+            value = count_via_partition(branch, cache=shared, max_nodes=max_nodes,
+                                        budget_seconds=budget_seconds)
+            shared.put(key, value)
+        counts.append(value)
+    return counts[0], counts[1]
 
 
 # ---------------------------------------------------------------------------

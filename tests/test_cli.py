@@ -193,6 +193,17 @@ class TestVerify:
         assert "16/16 checks passed" in out
         assert "= 168" in out
 
+    def test_corollary_six_cube(self, capsys):
+        # the suite's cap: every pivot of E^6, each split summing to D(6)
+        code, out, _ = run(capsys, "verify", "--theorem", "corollary", "--n", "6")
+        assert code == 0
+        lines = out.splitlines()
+        pivots = [line for line in lines if line.startswith("pivot ")]
+        assert len(pivots) == 64
+        assert all(line.endswith(f" = {PINNED_DEDEKIND[6]})") and ": pass (" in line
+                   for line in pivots)
+        assert lines[-1] == "64/64 checks passed"
+
     def test_layer_subset_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "lemma3", "--n", "5")
         assert code == 0

@@ -1019,6 +1019,52 @@ class TestCorollarySplit:
         with pytest.raises(ValueError):
             corollary_split(3, Point(0, 2))
 
+    def test_shared_memo_counts_each_class_once(self, monkeypatch):
+        # one cache over every pivot against a fresh cache per pivot; the
+        # branches fall into n + 1 classes (the upper branch by the weight of
+        # the pivot, the lower branch dual to an upper one), and an entry the
+        # engine stored may answer a class before its first branch comes
+        real = partition_module.count_via_partition
+        calls = []
+
+        def spy(S, *args, **kwargs):
+            calls.append(S)
+            return real(S, *args, **kwargs)
+
+        for n in range(7):
+            fresh = [corollary_split(n, Point(mask, n)) for mask in range(1 << n)]
+            calls.clear()
+            monkeypatch.setattr(partition_module, "count_via_partition", spy)
+            shared = MemoCache()
+            for mask, (u, l) in enumerate(fresh):
+                assert corollary_split(n, Point(mask, n), cache=shared) == (u, l)
+                assert u + l == PINNED_DEDEKIND[n]
+            monkeypatch.setattr(partition_module, "count_via_partition", real)
+            assert 1 <= len(calls) <= n + 1
+            assert len({canonical_key(S) for S in calls}) == len(calls)
+        assert len(calls) == 7  # at n = 6 no engine entry answers a class
+
+    @pytest.mark.parametrize("budget", [
+        {"max_nodes": -1},
+        {"budget_seconds": -1.0},
+        {"budget_seconds": float("nan")},
+    ])
+    def test_bad_budget_rejected_on_warm_cache(self, budget):
+        # both branches already in the shared cache: the budget is still
+        # checked before the lookup
+        shared = MemoCache()
+        pivot = Point.from_text("0110")
+        corollary_split(4, pivot, cache=shared)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            corollary_split(4, pivot, cache=shared, **budget)
+
+    def test_hit_spends_no_node(self):
+        shared = MemoCache()
+        pair = corollary_split(5, Point(0b00011, 5), cache=shared)
+        with pytest.raises(BudgetExceededError):
+            corollary_split(5, Point(0b00101, 5), max_nodes=0)
+        assert corollary_split(5, Point(0b00101, 5), cache=shared, max_nodes=0) == pair
+
 
 class TestCanonicalKey:
     def test_coordinate_relabeling_invariance(self, rng):

@@ -11,9 +11,9 @@ suite yields one (ok, lines, witnesses) record per check, with witnesses
 only for a failed check, and _cmd_verify alone gathers the records into the
 check count, the text lines and the report's witnesses.  Counting
 runs on one thread.  Two count options stay only for the argv of the
-benchmark's cube6_cli workload (ROADMAP items 4 and 5): --threads N >= 1,
-which is ignored, and --strategy layer, a legacy spelling of the value
-decompose --parity even prints for a full cube.
+benchmark's cube6_cli workload, until the benchmark drops them: --threads
+N >= 1, which is ignored, and --strategy layer, a legacy spelling of the
+value decompose --parity even prints for a full cube.
 """
 
 from __future__ import annotations

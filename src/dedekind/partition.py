@@ -14,11 +14,13 @@ membership bitset.  A residual's canonical key is its least image
 over the symmetries that sort its coordinates by a weight-histogram
 invariant, a partition refinement in the style of McKay and Piperno, so a
 key builds and compares only those few images, not all 2*d! of them.  An
-order-connected set with a coupled split along two coordinates is counted
-without the engine by the fibre sum over pairs of monotone maps on the
-split's two middle fibres.  A product T x E^2, every full cube from E^2 up
-among them, is the split whose four fibres are equal, and there the fibre
-sum is the interval sum over pairs of maps on T (Wiedemann, Order 8, 1991).
+order-connected set too large for the direct count, with a coupled split
+along two coordinates, is counted without the engine by the fibre sum over
+pairs of monotone maps on the split's two middle fibres; one ranking of
+the splits picks it.  A product T x E^2, every full cube from E^4 up among
+them, is the split whose four fibres are equal, which ranks first, and
+there the fibre sum is the interval sum over pairs of maps on T (Wiedemann,
+Order 8, 1991).
 
 Completeness of a pivot subset (every residual a disjoint union of cubes of
 strictly lower dimension) is decided three ways: the V-shape predicate on
@@ -53,8 +55,8 @@ from .poset import (
 )
 
 # Monotone map counts of the full cubes E^0 .. E^6, cross-checked against the
-# enumeration oracle in the test suite.  The definitional completeness oracle
-# factors term values over this pool; desk-scale terms never need more.
+# enumeration oracle in the test suite.  numeric_completeness_oracle factors
+# term values over this pool; desk-scale terms never need more.
 PINNED_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
 
 # The dimension up to which keys fold cube symmetry; larger sets are keyed by
@@ -79,11 +81,6 @@ _CANONICAL_MIN_POINTS = 20
 # inside int64.  A split beyond either limit is dropped for the next.
 INTERVAL_MAX_POINTS = 63
 INTERVAL_MAX_MAPS = 10_000
-# A split that is not a product counts only sets of at least this many
-# points; smaller ones stay on the engine.  In the sweep in
-# BENCH_fibre_sum.json a floor of 33 was the fastest of seven on both E^7
-# corpora.
-_FIBRE_MIN_POINTS = 33
 # Pairs per numpy block of the fibre sum: a block's temporaries stay a few
 # MB.
 _INTERVAL_BLOCK_PAIRS = 1 << 18
@@ -473,13 +470,15 @@ def _fibres(S: Subposet, i: int, j: int) -> tuple[int, int, int, int]:
 def _coupled(fibres: tuple[int, int, int, int], dim: int) -> bool:
     """Whether every pair x <= y with x in F00 and y in F11 has some z in
     F01 or F10 with x <= z <= y.  Then the F00-F11 constraints of a map on
-    the split follow from the others, which the fibre sum needs."""
+    the split follow from the others, which the fibre sum needs.  A point of
+    F00 that is also in F01 or F10 is its own z, so only the others are
+    tested, and a product, whose fibres are equal, tests none."""
     f00, f01, f10, f11 = fibres
     full = (1 << dim) - 1
     up_t, down_t = _updown_tables(dim)
     clear = [down_t[full ^ 1 << c] for c in range(dim)]
     middle = f01 | f10
-    rest = f00
+    rest = f00 & ~middle
     while rest:
         x = (rest & -rest).bit_length() - 1
         rest &= rest - 1
@@ -497,37 +496,22 @@ def _coupled(fibres: tuple[int, int, int, int], dim: int) -> bool:
 def _coupled_splits(S: Subposet) -> Iterator[tuple[int, int, int, int]]:
     """The splits of S that the fibre sum may count, best first, as their
     fibres (see _fibres).  A split qualifies when each fibre has at most
-    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  A split
-    is a product when its four fibres are equal: then S is T x E^2, both of
-    its coordinates are free (toggling either maps S onto itself), and it
-    is coupled through z = y.  The first product split, in the order of
-    coordinate pairs, is yielded as soon as the loop meets it, before any
-    split is ranked, and every later one is skipped: they all count the
-    same T up to isomorphism.  The other splits qualify only when S has at
-    least _FIBRE_MIN_POINTS points, and come after it by least largest
-    fibre, then least middle fibres.  Fibre sizes are popcounts, so a split
-    is tested for coupling only when its turn comes."""
-    n = S.dim
-    product = False
-    others = []
-    for i, j in itertools.combinations(range(n), 2):
-        fibres = _fibres(S, i, j)
-        if fibres.count(fibres[0]) < 4:
-            others.append(fibres)
-        elif not product:
-            product = True
-            if fibres[0].bit_count() <= INTERVAL_MAX_POINTS:
-                yield fibres
-    if len(S) < _FIBRE_MIN_POINTS:
-        return
+    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  Splits
+    come by least largest fibre, then least middle fibres, then fewest
+    distinct fibres, ties in the order of coordinate pairs.  A product
+    T x E^2, whose four fibres are all T, has the least of these keys any
+    split of S can have, (|S|/4, |S|/2, 1), so its first product split
+    comes first.  Fibre sizes are popcounts, so a split is tested for
+    coupling only when its turn comes."""
     ranked = []
-    for fibres in others:
-        sizes = [f.bit_count() for f in fibres]
+    for i, j in itertools.combinations(range(S.dim), 2):
+        fibres = _fibres(S, i, j)
+        sizes = list(map(int.bit_count, fibres))
         if max(sizes) <= INTERVAL_MAX_POINTS:
-            ranked.append(((max(sizes), sizes[1] + sizes[2]), fibres))
+            ranked.append(((max(sizes), sizes[1] + sizes[2], len(set(fibres))), fibres))
     ranked.sort(key=lambda r: r[0])
     for _, fibres in ranked:
-        if _coupled(fibres, n):
+        if _coupled(fibres, S.dim):
             yield fibres
 
 
@@ -566,13 +550,14 @@ def _images(maps: np.ndarray, src: int, dst: int, dim: int, meet: bool) -> np.nd
 
 def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     """D(S) by the fibre sum over the best coupled split of S that
-    _coupled_splits finds, or None when S has at most one point, is not
-    order-connected, or has no split that qualifies with at most
-    INTERVAL_MAX_MAPS maps on each fibre.  Connectivity is tested before
-    any split is made, and the splits are tried in _coupled_splits' order
-    until one counts S.  The engine counts a set of at most one point with
-    no node (the empty set's four empty fibres would charge a pair-sum
-    row), and multiplies over the components of a disconnected S.
+    _coupled_splits finds, or None when S has at most _DIRECT_MAX_POINTS
+    points, is not order-connected, or has no split that qualifies with at
+    most INTERVAL_MAX_MAPS maps on each fibre.  Size and connectivity are
+    tested before any split is made, and the splits are tried in
+    _coupled_splits' order until one counts S.  The engine counts a set
+    that small in at most one node, where the pair sum alone charges one
+    node per row, and it multiplies over the components of a disconnected
+    S.
 
     A monotone map on S is four monotone maps on its fibres, each at most
     the next where points compare across fibres; coupling makes the F00-F11
@@ -598,7 +583,7 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     ended under INTERVAL_MAX_MAPS; a split whose walk reaches the cap is
     dropped uncharged and the next split is tried.  At 10^4 maps and below
     every partial sum stays far inside int64."""
-    if len(S) <= 1 or len(_components(S.bitset, S.dim)) > 1:
+    if len(S) <= _DIRECT_MAX_POINTS or len(_components(S.bitset, S.dim)) > 1:
         return None
     for fibres in _coupled_splits(S):
         value = _count_split(fibres, S.dim, run)
@@ -778,14 +763,15 @@ def count_via_partition(
     order-connected S along two coordinates into four fibres and sums over
     pairs of monotone maps on the two middle fibres; it needs a coupled
     split (see _coupled) whose fibres have at most INTERVAL_MAX_POINTS
-    points and INTERVAL_MAX_MAPS maps each.  A product T x E^2 takes the
-    split on two free coordinates, where the sum is the interval sum over
-    pairs of maps on T; another coupled split is taken only for S of at
-    least _FIBRE_MIN_POINTS points, smaller sets going to the engine.  A
-    Subposet pivots on that explicit subset once, then counts each residual
-    with the engine.  The fibre sum leaves cache unused.  All strategies are
-    exact and agree; they differ only in work.  Counting runs on the
-    calling thread.  The power-of-two layer walk is decompose_power_of_two.
+    points and INTERVAL_MAX_MAPS maps each, and it counts only S of more
+    than _DIRECT_MAX_POINTS points.  One ranking orders the splits (see
+    _coupled_splits), and for a product T x E^2 it puts first a split on
+    two free coordinates, where the sum is the interval sum over pairs of
+    maps on T.  A Subposet pivots on that explicit subset once, then counts
+    each residual with the engine.  The fibre sum leaves cache unused.  All
+    strategies are exact and agree; they differ only in work.  Counting
+    runs on the calling thread.  The power-of-two layer walk is
+    decompose_power_of_two.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the

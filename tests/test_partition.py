@@ -692,8 +692,11 @@ class TestFibreSum:
 
 class TestIntervalSum:
     def test_full_cubes_pinned(self):
+        # E^2 and E^3 have at most _DIRECT_MAX_POINTS points: the engine
+        # counts them
         for n in range(2, 7):
-            assert interval_sum(Subposet.cube(n)) == PINNED_DEDEKIND[n]
+            if n >= 4:
+                assert interval_sum(Subposet.cube(n)) == PINNED_DEDEKIND[n]
             assert count_via_partition(Subposet.cube(n)) == PINNED_DEDEKIND[n]
 
     def test_seven_cube(self):
@@ -704,8 +707,8 @@ class TestIntervalSum:
     def test_matches_engine_on_products_hypothesis(self, data):
         # T of at most 12 points in E^(n-2), the square on two random
         # coordinates, not always the two lowest; half the draws add T's
-        # bottom, which joins every component.  An empty T leaves the empty
-        # set, which has no component and goes to the engine
+        # bottom, which joins every component.  A disconnected T, or an S
+        # small enough for the direct count, goes to the engine
         n = data.draw(st.integers(2, 7))
         i, j = sorted(data.draw(st.permutations(range(n)))[:2])
         size = data.draw(st.integers(0, min(12, 1 << (n - 2))))
@@ -715,15 +718,15 @@ class TestIntervalSum:
         S = product_with_square(n, i, j, t_masks)
         single = count_via_partition(S, "single")
         assert count_via_partition(S) == single
-        if comparability_components(t_masks) == 1:
+        connected = comparability_components(t_masks) == 1
+        if connected and len(S) > partition_module._DIRECT_MAX_POINTS:
             assert interval_sum(S) == single
         else:
             assert interval_sum(S) is None
 
     def test_product_detection_matches_toggles(self, rng):
-        # every set here has fewer than _FIBRE_MIN_POINTS points, so the
-        # chooser yields only a split on two free coordinates, whose four
-        # fibres are equal
+        # the first split the chooser yields has four equal fibres exactly
+        # when S has two free coordinates
         sets = [Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
                 for n in (1, 2, 3) for bits in range(1 << (1 << n))]
         sets += [random_subposet(rng, n) for n in (4, 5) for _ in range(30)]
@@ -731,56 +734,79 @@ class TestIntervalSum:
                  for i, j in itertools.combinations(range(5), 2)]
         seen = set()
         for S in sets:
-            assert len(S) < partition_module._FIBRE_MIN_POINTS
             members = set(S.masks)
             free = [c for c in range(S.dim) if {m ^ 1 << c for m in members} == members]
             splits = list(partition_module._coupled_splits(S))
-            assert len(splits) == (1 if len(free) >= 2 else 0)
-            if splits:
-                f00, f01, f10, f11 = splits[0]
-                assert f00 == f01 == f10 == f11
+            product = bool(splits) and splits[0].count(splits[0][0]) == 4
+            assert product == (len(free) >= 2)
+            if product:
                 # T x E^2 rebuilt on the top two coordinates counts like S
-                T = Subposet._from_bits(S.dim, f00)
+                T = Subposet._from_bits(S.dim, splits[0][0])
                 rebuilt = product_with_square(T.dim + 2, T.dim, T.dim + 1, T.masks)
                 assert 4 * len(T) == len(S)
                 assert count_via_partition(rebuilt, "single") == count_via_partition(S, "single")
             seen.add(len(free) >= 2)
         assert seen == {False, True}
 
-    def test_chooser_rule_above_the_floor(self):
+    def test_chooser_rule(self):
         # T x E^3 at dim 7, T a seeded subset of E^4 holding its bottom, the
-        # cube on coordinates 1, 4 and 6: 72 points, above
-        # _FIBRE_MIN_POINTS, so the coupled splits that are not products are
-        # listed too, after the one product split the chooser keeps
+        # cube on coordinates 1, 4 and 6: 72 points.  The three product
+        # splits on those coordinates rank first, in the order of coordinate
+        # pairs, and every other coupled split follows by its key
         rng = random.Random(3)
         t_masks = [0] + [m for m in range(1, 16) if rng.random() < 0.5]
         S = product_with_square(7, 1, 4, [t | x << 4 for t in t_masks for x in (0, 1)])
-        assert len(S) == 72 >= partition_module._FIBRE_MIN_POINTS
+        assert len(S) == 72
         members = set(S.masks)
         free = [c for c in range(7) if {m ^ 1 << c for m in members} == members]
-        assert {1, 4, 6} <= set(free)
+        assert free == [1, 4, 6]
         splits = list(partition_module._coupled_splits(S))
-        assert len(splits) == 16
-        equal = [fibres for fibres in splits if fibres.count(fibres[0]) == 4]
-        assert equal == splits[:1] == [partition_module._fibres(S, free[0], free[1])]
-        rest = splits[1:]
-        sizes = [[f.bit_count() for f in fibres] for fibres in rest]
-        ranks = [(max(s), s[1] + s[2]) for s in sizes]
+        assert len(splits) == 18
+        products = [partition_module._fibres(S, i, j)
+                    for i, j in itertools.combinations(free, 2)]
+        assert splits[:3] == products
+        assert all(fibres.count(fibres[0]) == 4 for fibres in products)
+        sizes = [[f.bit_count() for f in fibres] for fibres in splits]
+        ranks = [(max(s), s[1] + s[2], len(set(fibres))) for s, fibres in zip(sizes, splits)]
         assert ranks == sorted(ranks)
         by_pair = {(i, j): partition_module._fibres(S, i, j)
                    for i, j in itertools.combinations(range(7), 2)}
-        for fibres in rest:
+        for fibres in splits:
             assert any(brute_coupled(S, i, j) for (i, j), f in by_pair.items() if f == fibres)
         qualifying = [
             fibres for (i, j), fibres in by_pair.items()
-            if fibres.count(fibres[0]) < 4
-            and max(f.bit_count() for f in fibres) <= partition_module.INTERVAL_MAX_POINTS
+            if max(f.bit_count() for f in fibres) <= partition_module.INTERVAL_MAX_POINTS
             and brute_coupled(S, i, j)
         ]
-        assert sorted(rest) == sorted(qualifying)
+        assert sorted(splits) == sorted(qualifying)
         # E^8's product splits have fibres of 64 points, and every other
         # split has a fibre at least as large
         assert list(partition_module._coupled_splits(Subposet.cube(8))) == []
+
+    def test_sets_around_the_direct_count_match_oracle(self):
+        # every subset of E^3 has at most _DIRECT_MAX_POINTS points and goes
+        # to the engine; seeded subsets of E^4 and E^5 of 11-32 points take
+        # the fibre sum wherever a split is coupled
+        rng = random.Random(11)
+        sets = [Subposet(3, tuple(m for m in range(8) if bits >> m & 1)) for bits in range(256)]
+        for n, top in ((4, 16), (5, 32)):
+            sets += [Subposet(n, tuple(rng.sample(range(1 << n), rng.randint(11, top))))
+                     for _ in range(100)]
+        routed = Counter()
+        for S in sets:
+            expected = count_monotone_oracle(S)
+            assert count_via_partition(S) == expected
+            value = interval_sum(S)
+            assert value in (None, expected)
+            routed[S.dim, value is not None] += 1
+        assert routed[3, True] == 0 and routed[4, True] + routed[5, True] >= 150
+        # E^3 takes the engine's one node; E^4 takes the 5 decisions of the
+        # walk over M(E^2) and the pair sum's 6 rows
+        assert count_via_partition(Subposet.cube(3), max_nodes=1) == PINNED_DEDEKIND[3]
+        assert count_via_partition(Subposet.cube(4), max_nodes=11) == PINNED_DEDEKIND[4]
+        for n, nodes in ((3, 0), (4, 10)):
+            with pytest.raises(BudgetExceededError):
+                count_via_partition(Subposet.cube(n), max_nodes=nodes)
 
     def test_non_product_counted_by_engine(self):
         for S in (Subposet(3, (0, 1, 3)), Subposet.cube(1), Subposet(2, (0, 1, 2))):
@@ -847,11 +873,11 @@ class TestIntervalSum:
             count_via_partition(S, max_nodes=engine.nodes - 1)
 
     def test_no_coupled_split_falls_back_to_engine(self):
-        # a seeded half-dense subset of E^6, above the non-product floor,
+        # a seeded half-dense subset of E^6, too large for the direct count,
         # none of whose 15 splits is coupled
         rng = random.Random(7)
         S = random_subposet(rng, 6, 0.5)
-        assert len(S) >= partition_module._FIBRE_MIN_POINTS
+        assert len(S) > partition_module._DIRECT_MAX_POINTS
         assert comparability_components(S.masks) == 1
         assert not any(brute_coupled(S, i, j) for i, j in itertools.combinations(range(6), 2))
         run = fresh_run()

@@ -6,6 +6,7 @@ block the comment that states a value is what the command prints."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -77,3 +78,18 @@ def test_command_examples_match_their_comments(capsys):
             for line in lines if line.startswith("pivot ")]
     assert len(sums) == int(checks)
     assert all(int(a) + int(b) == int(c) == int(total) for a, b, c in sums)
+
+
+def test_named_module_attributes_exist():
+    # a backticked partition.X, poset.X, monotone.X or cli.X names an
+    # attribute of that module; a file name such as partition.py does not
+    text = README.read_text(encoding="utf-8")
+    named = [
+        (module, attr)
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for module, attr in re.findall(r"\b(partition|poset|monotone|cli)\.(\w+)", span)
+        if attr != "py"
+    ]
+    assert named
+    for module, attr in named:
+        assert hasattr(importlib.import_module(f"dedekind.{module}"), attr), f"{module}.{attr}"

@@ -36,7 +36,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -82,7 +82,9 @@ _CANONICAL_MIN_POINTS = 20
 INTERVAL_MAX_POINTS = 63
 INTERVAL_MAX_MAPS = 10_000
 # Pairs per numpy block of the fibre sum: a block's temporaries stay a few
-# MB.
+# MB.  It also bounds the direct-address tables of F00 and F11 (see
+# _lookup): a fibre gets one only when its 2^|F| truth tables fit in one
+# block, so a table is never larger than a block's int64 temporaries (2 MB).
 _INTERVAL_BLOCK_PAIRS = 1 << 18
 
 MINIMAL = "minimal"
@@ -548,6 +550,30 @@ def _images(maps: np.ndarray, src: int, dst: int, dim: int, meet: bool) -> np.nd
     return out
 
 
+def _lookup(
+    maps: np.ndarray, values: np.ndarray, points: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """A function that reads values[i] at the truth table maps[i], for any
+    array of truth tables that all lie in maps, the sorted tables of every
+    monotone map on a fibre of the given number of points.  When the
+    fibre's 2^points truth tables fit in one block of _INTERVAL_BLOCK_PAIRS
+    (at most 18 points) it reads a direct-address table, whose entries at
+    the other truth tables are never read; otherwise it finds each query in
+    maps by searchsorted."""
+    if 1 << points <= _INTERVAL_BLOCK_PAIRS:
+        table = np.zeros(1 << points, np.int64)
+        table[maps] = values
+        return table.take
+
+    def search(q):
+        # rebinding q frees the queries before the gather, as an inline
+        # values[np.searchsorted(maps, q)] in the pair loop would
+        q = np.searchsorted(maps, q)
+        return values[q]
+
+    return search
+
+
 def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     """D(S) by the fibre sum over the best coupled split of S that
     _coupled_splits finds, or None when S has at most _DIRECT_MAX_POINTS
@@ -567,12 +593,19 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     (see _images) times the maps on F11 over the join of their OR images.
     For S = T x E^2 every image is the map itself and this is the interval
     sum over pairs of maps on T (Wiedemann, Order 8, 1991).  Maps are the
-    truth tables _pivot_maps yields, sorted, so an image is found in
-    M(F00) or M(F11) by searchsorted, and below and above come from one
-    subset matrix each (_order_counts).  When F01 = F10 the weight is
-    symmetric in a and b, so the pair sum takes b from a's block of rows
-    on and computes each unordered pair once outside the blocks' diagonal
-    squares.
+    truth tables _pivot_maps yields, and below and above come from one
+    subset matrix each (_order_counts).  Monotone maps are closed under &
+    and |, so every meet is a truth table in M(F00) and every join one in
+    M(F11): its count is read from a direct-address table over the fibre's
+    2^|F| truth tables when they fit in one block, and found among the
+    sorted maps by searchsorted otherwise (_lookup).  When F01 = F10 the
+    weight is symmetric in a and b, so the pair sum takes b from a's block
+    of rows on and computes each unordered pair once outside the blocks'
+    diagonal squares.  That saves pairs only when the rows take several
+    blocks: up to 512 maps on F01 one block holds every row and the whole
+    square is computed, as on every split of E^6 and every split chosen
+    on the E^7 corpora, while D(7)'s 7,581 maps of E^5 take 223 blocks of
+    34 rows.
 
     Each row a of the pair sum spends one engine node, as each walk
     decision does, charged a block at a time before the block is summed, so
@@ -600,7 +633,10 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
     tables of its maps, the order counts of F00 and F11, and the images of
     F01 and F10.  So a product, whose four fibres are equal, walks and
     counts one fibre and needs no image, and only the pair sum asks whether
-    F01 = F10."""
+    F01 = F10.  F00 and F11 each decide apart whether their counts are read
+    from a direct-address table or by searchsorted (_lookup): E^7's 32-point
+    fibres search, and the splits chosen on the E^7 corpora, whose fibres
+    have at most 15 points, read tables."""
     # the walks count their decisions apart, so that a dropped split leaves
     # the next one and the engine all of the node budget
     walk = _EngineRun(None, None, None)
@@ -623,9 +659,9 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
         f: (_images(maps[f], f, f00, dim, True), _images(maps[f], f, f11, dim, False))
         for f in {f01, f10}
     }
-    below, above = counts[f00][0], counts[f11][1]
+    below = _lookup(maps[f00], counts[f00][0], f00.bit_count())
+    above = _lookup(maps[f11], counts[f11][1], f11.bit_count())
     (phi_a, psi_a), (phi_b, psi_b) = images[f01], images[f10]
-    m00, m11 = maps[f00], maps[f11]
     rows = max(1, _INTERVAL_BLOCK_PAIRS // len(phi_b))
     symmetric = f01 == f10
     total = 0
@@ -633,8 +669,7 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
         a = slice(r0, r0 + rows)
         b = slice(r0 if symmetric else 0, None)
         run.tick(len(phi_a[a]))
-        w = (below[np.searchsorted(m00, phi_a[a, None] & phi_b[None, b])]
-             * above[np.searchsorted(m11, psi_a[a, None] | psi_b[None, b])])
+        w = below(phi_a[a, None] & phi_b[None, b]) * above(psi_a[a, None] | psi_b[None, b])
         if symmetric:
             # the sum is over ordered pairs: a pair with b past the block's
             # rows stands for itself and its mirror, and the square of pairs

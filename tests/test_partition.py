@@ -625,6 +625,23 @@ def split_sum(S: Subposet, i: int, j: int) -> int | None:
     return partition_module._count_split(fibres, S.dim, fresh_run())
 
 
+def spy_lookups(monkeypatch) -> list:
+    """Wrap partition._lookup.  Each call appends to the returned list the
+    fibre's point count and the direct-address table the lookup reads, or
+    None where it searches."""
+    made = []
+    real = partition_module._lookup
+
+    def spy(maps, values, points):
+        lookup = real(maps, values, points)
+        table = getattr(lookup, "__self__", None)
+        made.append((points, table if isinstance(table, np.ndarray) else None))
+        return lookup
+
+    monkeypatch.setattr(partition_module, "_lookup", spy)
+    return made
+
+
 class TestFibreSum:
     def test_every_split_of_small_subsets(self, rng):
         # on a coupled split the sum is D(S); on an uncoupled one it also
@@ -687,6 +704,65 @@ class TestFibreSum:
                 single = count_via_partition(S, "single", cache=cache)
                 assert interval_sum(S) == (single if S.masks else None)
         assert kinds == {True: 114, False: 14}
+
+    def test_direct_tables_match_searchsorted(self, rng, monkeypatch):
+        # every coupled split of seeded subsets of E^4-E^6, and the product
+        # split of seeded T x E^2 in E^7 with |T| <= 18, counted as shipped
+        # and again with blocks of no pairs: then no fibre gets a table, every
+        # order count is found by searchsorted, and every block holds one row
+        cases = []
+        for n, sets in ((4, 30), (5, 20), (6, 10)):
+            for _ in range(sets):
+                S = random_subposet(rng, n)
+                cases += [(fibres, n) for fibres in partition_module._coupled_splits(S)]
+        for size in range(11, 19):
+            i, j = sorted(rng.sample(range(7), 2))
+            S = product_with_square(7, i, j, rng.sample(range(32), size))
+            cases.append((partition_module._fibres(S, i, j), 7))
+        kinds = Counter(
+            "product" if f.count(f[0]) == 4 else "symmetric" if f[1] == f[2] else "other"
+            for f, _ in cases
+        )
+        assert min(kinds["product"], kinds["symmetric"], kinds["other"]) >= 10
+
+        def counts():
+            out = []
+            for fibres, dim in cases:
+                run = fresh_run()
+                out.append((partition_module._count_split(fibres, dim, run), run.nodes))
+            return out
+
+        made = spy_lookups(monkeypatch)
+        shipped = counts()
+        assert all(value is not None for value, _ in shipped)
+        assert all(
+            table is not None and len(table) <= partition_module._INTERVAL_BLOCK_PAIRS
+            for _, table in made
+        )
+        monkeypatch.setattr(partition_module, "_INTERVAL_BLOCK_PAIRS", 0)
+        made.clear()
+        assert counts() == shipped
+        assert made and all(table is None for _, table in made)
+
+    def test_tables_stay_inside_one_block(self, monkeypatch):
+        # E^7's product split has fibres of 32 points, so both order counts
+        # are searched and D(7) is unchanged; a connected T of 18 points in
+        # E^5 gets tables of exactly one block's 2^18 entries and T of 19
+        # points none, and no table ever has more entries than a block
+        made = spy_lookups(monkeypatch)
+        assert interval_sum(Subposet.cube(7)) == 2414682040998
+        assert made == [(32, None), (32, None)]
+        rng = random.Random(5)
+        for size, tabled in ((17, True), (18, True), (19, False)):
+            made.clear()
+            t_masks = [0] + rng.sample(range(1, 32), size - 1)
+            S = product_with_square(7, 2, 5, t_masks)
+            assert interval_sum(S) == count_via_partition(S, "single")
+            assert [points for points, _ in made] == [size, size]
+            assert all((table is not None) == tabled for _, table in made)
+            for _, table in made:
+                if table is not None:
+                    assert len(table) == 1 << size <= partition_module._INTERVAL_BLOCK_PAIRS
 
 
 

@@ -79,6 +79,14 @@ def _load_subposet(path: str) -> Subposet:
         raise PosetParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _layer_walk(n: int, parity: str, args):
+    # one range for both layer commands: at E^7 the walk's states pass 1 GB
+    if not 2 <= n <= 6:
+        raise PosetParseError(f"the layer walk supports 2 <= n <= 6, got {n}")
+    return decompose_power_of_two(n, parity, max_nodes=args.max_nodes,
+                                  budget_seconds=args.budget_seconds)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -99,13 +107,13 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
         digest = _file_digest(args.poset)
         n = S.dim
     cache = MemoCache()
-    budgets = dict(max_nodes=args.max_nodes, budget_seconds=args.budget_seconds)
     if args.strategy == "layer":
         if S != Subposet.cube(S.dim):
             raise ValueError("layer strategy requires the full cube")
-        value = decompose_power_of_two(S.dim, "even", **budgets).value()
+        value = _layer_walk(S.dim, "even", args).value()
     else:
-        value = count_via_partition(S, args.strategy, cache=cache, **budgets)
+        value = count_via_partition(S, args.strategy, cache=cache, max_nodes=args.max_nodes,
+                                    budget_seconds=args.budget_seconds)
     report = _report("count", n, digest, str(value), cache=cache)
     return report, [str(value)], 0
 
@@ -286,11 +294,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_decompose(args) -> tuple[dict, list[str], int]:
-    if not 2 <= args.n <= 6:
-        raise PosetParseError(f"decompose supports 2 <= n <= 6, got {args.n}")
-    poly = decompose_power_of_two(
-        args.n, args.parity,
-        max_nodes=args.max_nodes, budget_seconds=args.budget_seconds)
+    poly = _layer_walk(args.n, args.parity, args)
     value = poly.value()
     polynomial = {str(j): str(c) for j, c in poly.terms}
     if args.format == "text":

@@ -146,7 +146,8 @@ class MemoCache:
     bytes, when it is large and of dimension at most CANONICAL_DIM_CAP, and
     otherwise the literal key of the projected residual, an int (see
     _literal_key).  corollary_split stores the count of each branch it
-    counts under the branch's canonical_key, bytes too.
+    counts under the branch's canonical_key, bytes too; when the two kinds
+    of entry answer each other is set out at corollary_split.
 
     Unbounded: every entry stays until clear().  hits and misses are running
     statistics over literal and canonical lookups alike.  A value of None
@@ -261,22 +262,18 @@ def canonical_key(S: Subposet) -> bytes:
 # the counting engine
 
 
-def _check_budgets(max_nodes, budget_seconds) -> None:
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
-    # written so that NaN fails too
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
-
-
 class _EngineRun:
-    """Mutable per-call state: the engine's memo (None on the pivot walks'
-    own runs, which never reach the engine), budgets, node statistics."""
+    """The state of one public call, which every step of it is charged to:
+    the engine's memo (None where no engine runs), budgets, nodes spent."""
 
     __slots__ = ("cache", "max_nodes", "deadline", "nodes")
 
-    def __init__(self, cache: MemoCache | None, max_nodes, budget_seconds):
-        _check_budgets(max_nodes, budget_seconds)
+    def __init__(self, cache: MemoCache | None = None, max_nodes=None, budget_seconds=None):
+        if max_nodes is not None and max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        # written so that NaN fails too
+        if budget_seconds is not None and not budget_seconds >= 0:
+            raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
         self.cache = cache
         self.max_nodes = max_nodes
         self.deadline = (
@@ -611,11 +608,11 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     decision does, charged a block at a time before the block is summed, so
     the deadline goes unchecked only through the below/above pass (0.16 s over
     the 7,581 maps of E^5 on a 2-vCPU host) and the images, one numpy pass
-    over a middle fibre's maps per outer point.  The decisions of a split's
-    walks (one walk per distinct fibre) are charged once they have all
-    ended under INTERVAL_MAX_MAPS; a split whose walk reaches the cap is
-    dropped uncharged and the next split is tried.  At 10^4 maps and below
-    every partial sum stays far inside int64."""
+    over a middle fibre's maps per outer point.  The walks of a split (one
+    per distinct fibre) charge each decision as they make it; a split whose
+    walk reaches INTERVAL_MAX_MAPS is dropped, its decisions charged, and
+    the next split is tried.  At 10^4 maps and below every partial sum
+    stays far inside int64."""
     if len(S) <= _DIRECT_MAX_POINTS or len(_components(S.bitset, S.dim)) > 1:
         return None
     for fibres in _coupled_splits(S):
@@ -627,31 +624,23 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
 
 def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -> int | None:
     """The fibre sum of _interval_sum over one coupled split, given by its
-    fibres (see _fibres), or None, uncharged, when a fibre has more than
-    INTERVAL_MAX_MAPS maps.  Everything is computed once per distinct
-    fibre and kept in dicts keyed by fibre: the walk and the sorted truth
-    tables of its maps, the order counts of F00 and F11, and the images of
-    F01 and F10.  So a product, whose four fibres are equal, walks and
-    counts one fibre and needs no image, and only the pair sum asks whether
-    F01 = F10.  F00 and F11 each decide apart whether their counts are read
-    from a direct-address table or by searchsorted (_lookup): E^7's 32-point
-    fibres search, and the splits chosen on the E^7 corpora, whose fibres
-    have at most 15 points, read tables."""
-    # the walks count their decisions apart, so that a dropped split leaves
-    # the next one and the engine all of the node budget
-    walk = _EngineRun(None, None, None)
-    walk.deadline = run.deadline
+    fibres (see _fibres), or None, the walks' decisions charged all the
+    same, when a fibre has more than INTERVAL_MAX_MAPS maps.  Everything is
+    computed once per distinct fibre and kept in dicts keyed by fibre: the
+    walk and the sorted truth tables of its maps, the order counts of F00
+    and F11, and the images of F01 and F10.  So a product, whose four
+    fibres are equal, walks and counts one fibre and needs no image, and
+    only the pair sum asks whether F01 = F10."""
     maps = {}
     for f in fibres:
         if f in maps:
             continue
         tables = []
-        for table, _ in _pivot_maps(Subposet._from_bits(dim, f), walk):
+        for table, _ in _pivot_maps(Subposet._from_bits(dim, f), run):
             if len(tables) == INTERVAL_MAX_MAPS:
                 return None
             tables.append(table)
         maps[f] = np.sort(np.array(tables, np.int64))
-    run.tick(walk.nodes)
 
     f00, f01, f10, f11 = fibres
     counts = {f: _order_counts(maps[f]) for f in {f00, f11}}
@@ -815,12 +804,16 @@ def count_via_partition(
     a split's distinct fibres, one decision less than each walk's maps) and
     one per row a of the fibre sum's pair loop.  A split with a fibre of
     more than INTERVAL_MAX_MAPS maps is dropped for the next coupled split,
-    and then for the engine, and the walks it stopped are not charged.  A
+    and then for the engine; the decisions its walks made stay charged.  A
     negative max_nodes, or a budget_seconds that is negative or NaN, raises
     ValueError.
     """
     run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)
+    return _count(S, strategy, run)
 
+
+def _count(S: Subposet, strategy: PivotStrategy, run: _EngineRun) -> int:
+    """count_via_partition's dispatch, on the run its caller built."""
     if isinstance(strategy, Subposet):
         _validate_subset(strategy, S)
         s_bits = S.bitset
@@ -854,7 +847,7 @@ def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
     s_bits = S.bitset
     return [
         PartitionTerm(MonotoneMap(A, table), Subposet._from_bits(S.dim, s_bits & ~covered))
-        for table, covered in _pivot_maps(A, _EngineRun(None, None, None))
+        for table, covered in _pivot_maps(A, _EngineRun())
     ]
 
 
@@ -869,30 +862,31 @@ def corollary_split(
     """The two-branch split of D(E^n) at a single pivot point a: counts of
     the cube minus the upper set of a and minus the lower set of a.  Each
     branch is looked up in cache under its canonical_key; only on a miss is
-    it counted by count_via_partition, and the count stored under that key.
-    Equal keys are isomorphic sets up to duality, so up to dimension
-    CANONICAL_DIM_CAP a cache shared over the pivots of E^n counts at most
-    n + 1 branches: the upper branch is fixed up to isomorphism by the
-    weight of a, and the lower branch is dual to an upper one.  These are
-    the bytes the engine stores for a projected residual, so an entry the
-    engine made answers a branch too.  A hit spends no engine node.  The
-    budgets bound each count made, and a bad budget raises ValueError
-    before any lookup."""
+    it counted as count_via_partition counts it, and the count stored
+    under that key.  Equal keys are isomorphic sets up to duality, so up to
+    dimension CANONICAL_DIM_CAP a cache shared over the pivots of E^n
+    counts at most n + 1 branches: the upper branch is fixed up to
+    isomorphism by the weight of a, and the lower branch is dual to an
+    upper one.  At those dimensions a branch of at least
+    _CANONICAL_MIN_POINTS points whose coordinates all vary has the key the
+    engine stores for it, so either entry answers the other; the engine
+    keys a smaller set literally and projects constant coordinates away, as
+    on the weight-1 upper branch and the weight-(n - 1) lower one.  A hit spends no engine node.  The
+    budgets bound the whole call, and a bad one raises ValueError before
+    any lookup."""
     if a.dim != n:
         raise ValueError(f"pivot dimension {a.dim} != {n}")
-    _check_budgets(max_nodes, budget_seconds)
+    run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)
     up_t, down_t = _updown_tables(n)
     full = (1 << (1 << n)) - 1
-    shared = cache if cache is not None else MemoCache()
     counts = []
     for removed in (up_t[a.mask], down_t[a.mask]):
         branch = Subposet._from_bits(n, full & ~removed)
         key = canonical_key(branch)
-        value = shared.get(key)
+        value = run.cache.get(key)
         if value is None:
-            value = count_via_partition(branch, cache=shared, max_nodes=max_nodes,
-                                        budget_seconds=budget_seconds)
-            shared.put(key, value)
+            value = _count(branch, "auto", run)
+            run.cache.put(key, value)
         counts.append(value)
     return counts[0], counts[1]
 

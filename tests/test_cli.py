@@ -87,7 +87,7 @@ class TestCount:
         assert "error:" in err
         code, _, err = run(capsys, "count", "--n", "1", "--strategy", "layer")
         assert code == 2
-        assert err == "error: layer subsets are defined for n >= 2\n"
+        assert err == "error: the layer walk supports 2 <= n <= 6, got 1\n"
 
     def test_layer_strategy_is_the_even_decomposition(self, capsys):
         # the legacy spelling runs the even layer walk: it fits the walk's
@@ -103,14 +103,19 @@ class TestCount:
             with pytest.raises(BudgetExceededError):
                 decompose_power_of_two(n, "even", max_nodes=walk.nodes - 1)
 
-    def test_deep_layer_walk_keeps_the_budget_contract(self, capsys):
-        # the E^11 walk is 1,024 decisions deep: it must run out of its node
-        # budget, not of Python's recursion limit
-        code, _, err = run(
-            capsys, "count", "--n", "11", "--strategy", "layer", "--max-nodes", "10000"
-        )
-        assert code == 3
-        assert err.startswith("budget exceeded")
+    def test_layer_strategy_takes_the_decompose_range(self, capsys, monkeypatch):
+        # above E^6 the layer walk is refused before it starts, as decompose
+        # refuses it; the library's deep walks keep their budget contract
+        # (TestPowerOfTwoDecomposition)
+        def no_walk(*args):
+            raise AssertionError("the layer walk started")
+
+        monkeypatch.setattr(partition_module, "_residual_sizes", no_walk)
+        for argv in (("count", "--strategy", "layer"), ("decompose",)):
+            for n in (7, 11):
+                code, _, err = run(capsys, *argv, "--n", str(n), "--max-nodes", "10000")
+                assert code == 2
+                assert err == f"error: the layer walk supports 2 <= n <= 6, got {n}\n"
 
     def test_input_errors(self, capsys, tmp_path):
         assert run(capsys, "count", "--n", "-3")[0] == 2

@@ -2,6 +2,7 @@
 predicates and oracles, the two pivot-set constructions, and the power-of-two
 decomposition."""
 
+import ast
 import functools
 import gc
 import hashlib
@@ -915,18 +916,18 @@ class TestIntervalSum:
         S = product_with_square(8, 0, 7, [0] + antichain)
         assert (1 << 14) + 1 > partition_module.INTERVAL_MAX_MAPS
         expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
-        # the product split's walk reaches the cap and is dropped uncharged;
-        # the next coupled split counts S
+        # the product split's walk reaches the cap and is dropped, its
+        # decisions charged; the next coupled split counts S
         product, *rest = partition_module._coupled_splits(S)
         assert product.count(product[0]) == 4 and rest
         walk = fresh_run()
         assert partition_module._count_split(product, S.dim, walk) is None
-        assert walk.nodes == 0
+        assert walk.nodes == 10_010
         run = fresh_run()
         assert partition_module._interval_sum(S, run) == expected
         counted = fresh_run()
         assert partition_module._count_split(rest[0], S.dim, counted) == expected
-        assert run.nodes == counted.nodes
+        assert run.nodes == walk.nodes + counted.nodes
         assert count_via_partition(S, max_nodes=run.nodes) == expected
         with pytest.raises(BudgetExceededError):
             count_via_partition(S, max_nodes=run.nodes - 1)
@@ -934,19 +935,23 @@ class TestIntervalSum:
     def test_every_split_dropped_falls_back_to_engine(self, monkeypatch):
         # E^6 minus its bottom is connected, with 63 points and 15 coupled
         # splits; under a cap of two maps every split's walk reaches the
-        # cap, so the fibre sum gives up uncharged and the engine counts
+        # cap, so the fibre sum gives up, its walks charged, and the engine
+        # counts
         S = Subposet(6, tuple(range(1, 64)))
         monkeypatch.setattr(partition_module, "INTERVAL_MAX_MAPS", 2)
         assert len(list(partition_module._coupled_splits(S))) == 15
         run = fresh_run()
         assert partition_module._interval_sum(S, run) is None
-        assert run.nodes == 0
+        # each split's walk of its 15-point F00 decides 15 points before it
+        # reaches a third map
+        assert run.nodes == 15 * 15
         engine = partition_module._EngineRun(MemoCache(), None, None)
         single = partition_module._count_bits(S.bitset, S.dim, engine)
         assert single == count_via_partition(S, "single") == PINNED_DEDEKIND[6] - 1
-        assert count_via_partition(S, max_nodes=engine.nodes) == single
+        nodes = run.nodes + engine.nodes
+        assert count_via_partition(S, max_nodes=nodes) == single
         with pytest.raises(BudgetExceededError):
-            count_via_partition(S, max_nodes=engine.nodes - 1)
+            count_via_partition(S, max_nodes=nodes - 1)
 
     def test_no_coupled_split_falls_back_to_engine(self):
         # a seeded half-dense subset of E^6, too large for the direct count,
@@ -1126,22 +1131,22 @@ class TestCorollarySplit:
         # branches fall into n + 1 classes (the upper branch by the weight of
         # the pivot, the lower branch dual to an upper one), and an entry the
         # engine stored may answer a class before its first branch comes
-        real = partition_module.count_via_partition
+        real = partition_module._count
         calls = []
 
-        def spy(S, *args, **kwargs):
+        def spy(S, *args):
             calls.append(S)
-            return real(S, *args, **kwargs)
+            return real(S, *args)
 
         for n in range(7):
             fresh = [corollary_split(n, Point(mask, n)) for mask in range(1 << n)]
             calls.clear()
-            monkeypatch.setattr(partition_module, "count_via_partition", spy)
+            monkeypatch.setattr(partition_module, "_count", spy)
             shared = MemoCache()
             for mask, (u, l) in enumerate(fresh):
                 assert corollary_split(n, Point(mask, n), cache=shared) == (u, l)
                 assert u + l == PINNED_DEDEKIND[n]
-            monkeypatch.setattr(partition_module, "count_via_partition", real)
+            monkeypatch.setattr(partition_module, "_count", real)
             assert 1 <= len(calls) <= n + 1
             assert len({canonical_key(S) for S in calls}) == len(calls)
         assert len(calls) == 7  # at n = 6 no engine entry answers a class
@@ -1166,6 +1171,84 @@ class TestCorollarySplit:
         with pytest.raises(BudgetExceededError):
             corollary_split(5, Point(0b00101, 5), max_nodes=0)
         assert corollary_split(5, Point(0b00101, 5), cache=shared, max_nodes=0) == pair
+
+
+# Every public entry that takes budgets, as a call with budgets, and the
+# nodes it spends: a count by each strategy, a corollary split (27 nodes
+# for its upper branch, 37 for its lower) and a layer walk.
+BUDGETED_CALLS = {
+    "auto": (lambda **b: count_via_partition(Subposet.cube(6), **b), 335),
+    "single": (lambda **b: count_via_partition(
+        random_subposet(random.Random(5), 5, 0.6), "single", **b), 11),
+    "pivot": (lambda **b: count_via_partition(
+        Subposet.cube(4), Subposet(4, (3, 5, 6, 9)), **b), 31),
+    "corollary": (lambda **b: corollary_split(5, Point(0b00101, 5), **b), 64),
+    "decompose": (lambda **b: decompose_power_of_two(5, "odd", **b), 297),
+}
+
+
+class TestBudgetContract:
+    # a public call builds one run and charges all of its work to it, so
+    # it returns under max_nodes equal to the nodes it spends and raises
+    # one node below
+    @pytest.mark.parametrize("entry", list(BUDGETED_CALLS))
+    def test_max_nodes_is_the_nodes_spent(self, entry, monkeypatch):
+        call, nodes = BUDGETED_CALLS[entry]
+        runs = []
+
+        class Spy(partition_module._EngineRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partition_module, "_EngineRun", Spy)
+            value = call()
+        assert [run.nodes for run in runs] == [nodes]
+        assert call(max_nodes=nodes) == value
+        with pytest.raises(BudgetExceededError):
+            call(max_nodes=nodes - 1)
+
+    def test_corollary_branches_share_one_budget(self):
+        # 37 nodes count either branch alone, not both
+        call = BUDGETED_CALLS["corollary"][0]
+        with pytest.raises(BudgetExceededError):
+            call(max_nodes=37)
+        assert call(max_nodes=64) == (2008, 5573)
+
+    def test_dropped_walks_are_charged(self, monkeypatch):
+        # every coupled split of this dense subset of E^8 has a fibre of
+        # more than INTERVAL_MAX_MAPS maps; the first walk decision of the
+        # first split runs out of a budget of 0
+        S = random_subposet(random.Random(3), 8, 0.9)
+        assert len(S) == 230
+        assert len(list(partition_module._coupled_splits(S))) == 17
+        real = partition_module._count_split
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partition_module, "_count_split", spy)
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(S, max_nodes=0)
+        assert len(calls) == 1
+
+    def test_runs_built_only_in_public_entries(self):
+        # one run per call: only the public entries build an _EngineRun,
+        # each once, and everything below them is handed that run
+        tree = ast.parse(inspect.getsource(partition_module))
+        built = Counter(
+            getattr(top, "name", "<module>")
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_EngineRun"
+        )
+        assert built == Counter(
+            {"count_via_partition": 1, "corollary_split": 1, "partition_terms": 1,
+             "decompose_power_of_two": 1}
+        )
 
 
 class TestCanonicalKey:

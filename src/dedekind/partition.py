@@ -13,11 +13,12 @@ which reverses the order and preserves counts), the rest by their
 membership bitset.  A residual's canonical key is its least image
 over the symmetries that sort its coordinates by a weight-histogram
 invariant, a partition refinement in the style of McKay and Piperno, so a
-key builds and compares only those few images, not all 2*d! of them.  An
-order-connected set too large for the direct count, with a coupled split
-along two coordinates, is counted without the engine by the fibre sum over
-pairs of monotone maps on the split's two middle fibres; one ranking of
-the splits picks it.  A product T x E^2, every full cube from E^4 up among
+key builds and compares only those few images, not all 2*d! of them.  By
+default a count's input, if order-connected, too large for the direct
+count and with a coupled split along two coordinates, is counted without
+the engine by the fibre sum over pairs of monotone maps on the split's two
+middle fibres; one ranking of the splits picks it, and one dispatcher,
+_count_bits, routes every count.  A product T x E^2, every full cube from E^4 up among
 them, is the split whose four fibres are equal, which ranks first, and
 there the fibre sum is the interval sum over pairs of maps on T (Wiedemann,
 Order 8, 1991).
@@ -371,28 +372,46 @@ def _count_small(bits: int, dim: int) -> int:
     return total
 
 
-def _count_bits(bits: int, dim: int, run: _EngineRun, connected: bool = False) -> int:
-    """D of the point set bits of E^dim.  A residual of a few points is
-    counted directly; one of several comparability components is the product
-    of its components' counts, each found in its own call, which is told the
-    component is connected and so skips the search for components; a
-    connected one is projected, looked up under one key, and pivoted on a
-    miss."""
+def _count_bits(
+    bits: int, dim: int, run: _EngineRun, connected: bool = False, fibre_sum: bool = False
+) -> int:
+    """D of the point set bits of E^dim, the one dispatcher of every count.
+    It takes the first of these cases that applies:
+
+    1. at most one point: no node;
+    2. at most _DIRECT_MAX_POINTS points: the direct count (_count_small);
+    3. several comparability components: the product of their counts, each
+       found in its own call, which is told the component is connected and
+       so skips the search for components;
+    4. with fibre_sum, which only a count's input under "auto" gets: the
+       fibre sum (_count_split) over the first split of _coupled_splits
+       that counts the set;
+    5. the memo, under one key of the projected set, then a pivot on a miss.
+
+    Cases 2, 3 and 5 spend one node each; the fibre sum charges its own."""
     k = bits.bit_count()
     if k <= 1:
         return k + 1
-    run.tick()
     if k <= _DIRECT_MAX_POINTS:
+        run.tick()
         return _count_small(bits, dim)
 
     if not connected:
         comps = _components(bits, dim)
         if len(comps) > 1:
+            run.tick()
             result = 1
             for comp in comps:
                 result *= _count_bits(comp, dim, run, True)
             return result
 
+    if fibre_sum:
+        for fibres in _coupled_splits(bits, dim):
+            value = _count_split(fibres, dim, run)
+            if value is not None:
+                return value
+
+    run.tick()
     # project away coordinates that are constant across the set; the induced
     # order, and with it the count, is unchanged
     masks = _mask_list(bits)
@@ -449,15 +468,14 @@ def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
         yield ones, covered
 
 
-def _fibres(S: Subposet, i: int, j: int) -> tuple[int, int, int, int]:
-    """The fibres (F00, F01, F10, F11) of S along coordinates i < j, as
-    point-space bitsets: Fab holds the points of S whose coordinates i and
-    j read a and b, moved onto the face where both are 0, whose order is
-    that of E^(dim-2)."""
-    full = (1 << S.dim) - 1
-    down_t = _updown_tables(S.dim)[1]
+def _fibres(bits: int, dim: int, i: int, j: int) -> tuple[int, int, int, int]:
+    """The fibres (F00, F01, F10, F11) of the point set bits of E^dim along
+    coordinates i < j, as point-space bitsets: Fab holds the points whose
+    coordinates i and j read a and b, moved onto the face where both are 0,
+    whose order is that of E^(dim-2)."""
+    full = (1 << dim) - 1
+    down_t = _updown_tables(dim)[1]
     clear_i, clear_j = down_t[full ^ 1 << i], down_t[full ^ 1 << j]
-    bits = S.bitset
     return (
         bits & clear_i & clear_j,
         (bits & clear_i & ~clear_j) >> (1 << j),
@@ -492,25 +510,25 @@ def _coupled(fibres: tuple[int, int, int, int], dim: int) -> bool:
     return True
 
 
-def _coupled_splits(S: Subposet) -> Iterator[tuple[int, int, int, int]]:
-    """The splits of S that the fibre sum may count, best first, as their
-    fibres (see _fibres).  A split qualifies when each fibre has at most
-    INTERVAL_MAX_POINTS points and it is coupled (see _coupled).  Splits
-    come by least largest fibre, then least middle fibres, then fewest
-    distinct fibres, ties in the order of coordinate pairs.  A product
-    T x E^2, whose four fibres are all T, has the least of these keys any
-    split of S can have, (|S|/4, |S|/2, 1), so its first product split
-    comes first.  Fibre sizes are popcounts, so a split is tested for
-    coupling only when its turn comes."""
+def _coupled_splits(bits: int, dim: int) -> Iterator[tuple[int, int, int, int]]:
+    """The splits of the point set S = bits of E^dim that the fibre sum may
+    count, best first, as their fibres (see _fibres).  A split qualifies
+    when each fibre has at most INTERVAL_MAX_POINTS points and it is
+    coupled (see _coupled).  Splits come by least largest fibre, then least
+    middle fibres, then fewest distinct fibres, ties in the order of
+    coordinate pairs.  A product T x E^2, whose four fibres are all T, has
+    the least of these keys any split of S can have, (|S|/4, |S|/2, 1), so
+    its first product split comes first.  Fibre sizes are popcounts, so a
+    split is tested for coupling only when its turn comes."""
     ranked = []
-    for i, j in itertools.combinations(range(S.dim), 2):
-        fibres = _fibres(S, i, j)
+    for i, j in itertools.combinations(range(dim), 2):
+        fibres = _fibres(bits, dim, i, j)
         sizes = list(map(int.bit_count, fibres))
         if max(sizes) <= INTERVAL_MAX_POINTS:
             ranked.append(((max(sizes), sizes[1] + sizes[2], len(set(fibres))), fibres))
     ranked.sort(key=lambda r: r[0])
     for _, fibres in ranked:
-        if _coupled(fibres, S.dim):
+        if _coupled(fibres, dim):
             yield fibres
 
 
@@ -571,16 +589,10 @@ def _lookup(
     return search
 
 
-def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
-    """D(S) by the fibre sum over the best coupled split of S that
-    _coupled_splits finds, or None when S has at most _DIRECT_MAX_POINTS
-    points, is not order-connected, or has no split that qualifies with at
-    most INTERVAL_MAX_MAPS maps on each fibre.  Size and connectivity are
-    tested before any split is made, and the splits are tried in
-    _coupled_splits' order until one counts S.  The engine counts a set
-    that small in at most one node, where the pair sum alone charges one
-    node per row, and it multiplies over the components of a disconnected
-    S.
+def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -> int | None:
+    """D(S) by the fibre sum over one coupled split of S, given by its
+    fibres (see _fibres), or None, the walks' decisions charged all the
+    same, when a fibre has more than INTERVAL_MAX_MAPS maps.
 
     A monotone map on S is four monotone maps on its fibres, each at most
     the next where points compare across fibres; coupling makes the F00-F11
@@ -589,48 +601,20 @@ def _interval_sum(S: Subposet, run: _EngineRun) -> int | None:
     psi'(b)]: the maps on F00 under the meet of the AND images of a and b
     (see _images) times the maps on F11 over the join of their OR images.
     For S = T x E^2 every image is the map itself and this is the interval
-    sum over pairs of maps on T (Wiedemann, Order 8, 1991).  Maps are the
-    truth tables _pivot_maps yields, and below and above come from one
-    subset matrix each (_order_counts).  Monotone maps are closed under &
-    and |, so every meet is a truth table in M(F00) and every join one in
-    M(F11): its count is read from a direct-address table over the fibre's
-    2^|F| truth tables when they fit in one block, and found among the
-    sorted maps by searchsorted otherwise (_lookup).  When F01 = F10 the
-    weight is symmetric in a and b, so the pair sum takes b from a's block
-    of rows on and computes each unordered pair once outside the blocks'
-    diagonal squares.  That saves pairs only when the rows take several
-    blocks: up to 512 maps on F01 one block holds every row and the whole
-    square is computed, as on every split of E^6 and every split chosen
-    on the E^7 corpora, while D(7)'s 7,581 maps of E^5 take 223 blocks of
-    34 rows.
+    sum over pairs of maps on T (Wiedemann, Order 8, 1991).  Monotone maps
+    are closed under & and |, so every meet is a map on F00 and every join
+    one on F11, whose count _lookup reads.
 
-    Each row a of the pair sum spends one engine node, as each walk
-    decision does, charged a block at a time before the block is summed, so
-    the deadline goes unchecked only through the below/above pass (0.16 s over
-    the 7,581 maps of E^5 on a 2-vCPU host) and the images, one numpy pass
-    over a middle fibre's maps per outer point.  The walks of a split (one
-    per distinct fibre) charge each decision as they make it; a split whose
-    walk reaches INTERVAL_MAX_MAPS is dropped, its decisions charged, and
-    the next split is tried.  At 10^4 maps and below every partial sum
-    stays far inside int64."""
-    if len(S) <= _DIRECT_MAX_POINTS or len(_components(S.bitset, S.dim)) > 1:
-        return None
-    for fibres in _coupled_splits(S):
-        value = _count_split(fibres, S.dim, run)
-        if value is not None:
-            return value
-    return None
-
-
-def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -> int | None:
-    """The fibre sum of _interval_sum over one coupled split, given by its
-    fibres (see _fibres), or None, the walks' decisions charged all the
-    same, when a fibre has more than INTERVAL_MAX_MAPS maps.  Everything is
-    computed once per distinct fibre and kept in dicts keyed by fibre: the
-    walk and the sorted truth tables of its maps, the order counts of F00
-    and F11, and the images of F01 and F10.  So a product, whose four
-    fibres are equal, walks and counts one fibre and needs no image, and
-    only the pair sum asks whether F01 = F10."""
+    Everything is computed once per distinct fibre and kept in dicts keyed
+    by fibre: the walk and the sorted truth tables of its maps, the order
+    counts of F00 and F11, and the images of F01 and F10.  So a product,
+    whose four fibres are equal, walks and counts one fibre and needs no
+    image.  Every walk decision spends one engine node as it is made, and
+    each row a of the pair sum one node, charged a block at a time before
+    the block is summed; so the deadline goes unchecked only through the
+    order counts (0.16 s over the 7,581 maps of E^5 on a 2-vCPU host) and
+    the images.  At 10^4 maps and below every partial sum stays far inside
+    int64."""
     maps = {}
     for f in fibres:
         if f in maps:
@@ -783,19 +767,18 @@ def count_via_partition(
     comparability components of a disconnected one, and recurses on one
     median-weight point of maximal comparability degree of a connected one,
     memoized in cache under one key per connected residual.  "auto"
-    (default) takes the fibre sum, then the engine.  The fibre sum splits an
-    order-connected S along two coordinates into four fibres and sums over
-    pairs of monotone maps on the two middle fibres; it needs a coupled
-    split (see _coupled) whose fibres have at most INTERVAL_MAX_POINTS
-    points and INTERVAL_MAX_MAPS maps each, and it counts only S of more
-    than _DIRECT_MAX_POINTS points.  One ranking orders the splits (see
-    _coupled_splits), and for a product T x E^2 it puts first a split on
-    two free coordinates, where the sum is the interval sum over pairs of
-    maps on T.  A Subposet pivots on that explicit subset once, then counts
-    each residual with the engine.  The fibre sum leaves cache unused.  All
-    strategies are exact and agree; they differ only in work.  Counting
-    runs on the calling thread.  The power-of-two layer walk is
-    decompose_power_of_two.
+    (default) adds the fibre sum for S itself, in the order of cases that
+    _count_bits sets out: it splits S along two coordinates into four
+    fibres and sums over pairs of monotone maps on the two middle fibres,
+    on a coupled split (see _coupled) whose fibres have at most
+    INTERVAL_MAX_POINTS points and INTERVAL_MAX_MAPS maps each.  One ranking
+    orders the splits (see _coupled_splits), and for a product T x E^2 it
+    puts first a split on two free coordinates, where the sum is the
+    interval sum over pairs of maps on T.  A Subposet pivots on that
+    explicit subset once, then counts each residual with the engine.  The
+    fibre sum leaves cache unused.  All strategies are exact and agree;
+    they differ only in work.  Counting runs on the calling thread.  The
+    power-of-two layer walk is decompose_power_of_two.
 
     Budgets, when given, bound engine nodes and wall time and raise
     BudgetExceededError.  Engine nodes are the recursion steps of the
@@ -821,12 +804,9 @@ def _count(S: Subposet, strategy: PivotStrategy, run: _EngineRun) -> int:
             _count_bits(s_bits & ~covered, S.dim, run)
             for _, covered in _pivot_maps(strategy, run)
         )
-    if strategy == "auto":
-        value = _interval_sum(S, run)
-        return value if value is not None else _count_bits(S.bitset, S.dim, run)
-    if strategy == "single":
-        return _count_bits(S.bitset, S.dim, run)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in ("auto", "single"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _count_bits(S.bitset, S.dim, run, fibre_sum=strategy == "auto")
 
 
 def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
@@ -871,9 +851,9 @@ def corollary_split(
     _CANONICAL_MIN_POINTS points whose coordinates all vary has the key the
     engine stores for it, so either entry answers the other; the engine
     keys a smaller set literally and projects constant coordinates away, as
-    on the weight-1 upper branch and the weight-(n - 1) lower one.  A hit spends no engine node.  The
-    budgets bound the whole call, and a bad one raises ValueError before
-    any lookup."""
+    on the weight-1 upper branch and the weight-(n - 1) lower one.  A hit
+    spends no engine node.  The budgets bound the whole call, and a bad one
+    raises ValueError before any lookup."""
     if a.dim != n:
         raise ValueError(f"pivot dimension {a.dim} != {n}")
     run = _EngineRun(cache if cache is not None else MemoCache(), max_nodes, budget_seconds)

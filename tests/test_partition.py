@@ -596,12 +596,25 @@ def comparability_components(masks) -> int:
     return len(set(label))
 
 
-def interval_sum(S: Subposet, **budget):
-    """partition._interval_sum on a fresh run: D(S), or None where the
-    fibre sum does not apply."""
-    return partition_module._interval_sum(
-        S, partition_module._EngineRun(None, budget.get("max_nodes"), budget.get("budget_seconds"))
+def dispatch(S: Subposet, fibre_sum: bool = True, **budget) -> tuple[int, bool, int]:
+    """S through the dispatcher, partition._count_bits, on a fresh run and
+    memo, with the fibre sum as "auto" has it by default: D(S), whether
+    the fibre sum counted S, and the nodes spent."""
+    summed = []
+    real = partition_module._count_split
+
+    def spy(*args):
+        value = real(*args)
+        summed.append(value is not None)
+        return value
+
+    run = partition_module._EngineRun(
+        MemoCache(), budget.get("max_nodes"), budget.get("budget_seconds")
     )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition_module, "_count_split", spy)
+        value = partition_module._count_bits(S.bitset, S.dim, run, fibre_sum=fibre_sum)
+    return value, any(summed), run.nodes
 
 
 def brute_coupled(S: Subposet, i: int, j: int) -> bool:
@@ -622,8 +635,22 @@ def brute_coupled(S: Subposet, i: int, j: int) -> bool:
 def split_sum(S: Subposet, i: int, j: int) -> int | None:
     """The fibre sum over the split of S along coordinates i and j, whether
     or not it is coupled, on a fresh run."""
-    fibres = partition_module._fibres(S, i, j)
+    fibres = partition_module._fibres(S.bitset, S.dim, i, j)
     return partition_module._count_split(fibres, S.dim, fresh_run())
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """Wrap the function partition.<name>.  Each call appends its arguments
+    to the returned list."""
+    calls = []
+    real = getattr(partition_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition_module, name, spy)
+    return calls
 
 
 def spy_lookups(monkeypatch) -> list:
@@ -654,7 +681,8 @@ class TestFibreSum:
                 S = random_subposet(rng, n)
                 expected = count_monotone_oracle(S)
                 for i, j in itertools.combinations(range(n), 2):
-                    coupled = partition_module._coupled(partition_module._fibres(S, i, j), n)
+                    fibres = partition_module._fibres(S.bitset, n, i, j)
+                    coupled = partition_module._coupled(fibres, n)
                     assert coupled == brute_coupled(S, i, j)
                     value = split_sum(S, i, j)
                     assert value == expected if coupled else value > expected
@@ -669,7 +697,7 @@ class TestFibreSum:
         bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
         S = Subposet(n, tuple(m for m in range(1 << n) if bits >> m & 1))
         coupled = brute_coupled(S, i, j)
-        assert partition_module._coupled(partition_module._fibres(S, i, j), n) == coupled
+        assert partition_module._coupled(partition_module._fibres(bits, n, i, j), n) == coupled
         value, expected = split_sum(S, i, j), count_monotone_oracle(S)
         assert value == expected if coupled else value > expected
 
@@ -682,7 +710,7 @@ class TestFibreSum:
                 S = random_subposet(rng, 6, density)
                 single = count_via_partition(S, "single")
                 assert count_via_partition(S) == single
-                splits = list(partition_module._coupled_splits(S))
+                splits = list(partition_module._coupled_splits(S.bitset, S.dim))
                 for fibres in splits:
                     assert partition_module._count_split(fibres, 6, fresh_run()) == single
                 took[bool(splits)] += 1
@@ -691,8 +719,8 @@ class TestFibreSum:
     def test_matches_engine_on_six_cube_corollary_residuals(self):
         # all 128 residuals of the one-point splits of E^6: each is a product
         # or has a coupled split, and none but the empty one (the cube minus
-        # the up-set of its bottom), which needs no node, reaches the engine
-        # by default
+        # the up-set of its bottom), which needs no node, is left to the
+        # engine by default
         up_t, down_t = _updown_tables(6)
         full = (1 << 64) - 1
         cache = MemoCache()
@@ -700,10 +728,10 @@ class TestFibreSum:
         for mask in range(64):
             for removed in (up_t[mask], down_t[mask]):
                 S = Subposet._from_bits(6, full & ~removed)
-                fibres = next(partition_module._coupled_splits(S))
+                fibres = next(partition_module._coupled_splits(S.bitset, S.dim))
                 kinds[fibres.count(fibres[0]) == 4] += 1
                 single = count_via_partition(S, "single", cache=cache)
-                assert interval_sum(S) == (single if S.masks else None)
+                assert dispatch(S)[:2] == (single, bool(S.masks))
         assert kinds == {True: 114, False: 14}
 
     def test_direct_tables_match_searchsorted(self, rng, monkeypatch):
@@ -715,11 +743,11 @@ class TestFibreSum:
         for n, sets in ((4, 30), (5, 20), (6, 10)):
             for _ in range(sets):
                 S = random_subposet(rng, n)
-                cases += [(fibres, n) for fibres in partition_module._coupled_splits(S)]
+                cases += [(fibres, n) for fibres in partition_module._coupled_splits(S.bitset, n)]
         for size in range(11, 19):
             i, j = sorted(rng.sample(range(7), 2))
             S = product_with_square(7, i, j, rng.sample(range(32), size))
-            cases.append((partition_module._fibres(S, i, j), 7))
+            cases.append((partition_module._fibres(S.bitset, S.dim, i, j), 7))
         kinds = Counter(
             "product" if f.count(f[0]) == 4 else "symmetric" if f[1] == f[2] else "other"
             for f, _ in cases
@@ -751,14 +779,14 @@ class TestFibreSum:
         # E^5 gets tables of exactly one block's 2^18 entries and T of 19
         # points none, and no table ever has more entries than a block
         made = spy_lookups(monkeypatch)
-        assert interval_sum(Subposet.cube(7)) == 2414682040998
+        assert dispatch(Subposet.cube(7))[:2] == (2414682040998, True)
         assert made == [(32, None), (32, None)]
         rng = random.Random(5)
         for size, tabled in ((17, True), (18, True), (19, False)):
             made.clear()
             t_masks = [0] + rng.sample(range(1, 32), size - 1)
             S = product_with_square(7, 2, 5, t_masks)
-            assert interval_sum(S) == count_via_partition(S, "single")
+            assert dispatch(S)[:2] == (count_via_partition(S, "single"), True)
             assert [points for points, _ in made] == [size, size]
             assert all((table is not None) == tabled for _, table in made)
             for _, table in made:
@@ -773,11 +801,11 @@ class TestIntervalSum:
         # counts them
         for n in range(2, 7):
             if n >= 4:
-                assert interval_sum(Subposet.cube(n)) == PINNED_DEDEKIND[n]
+                assert dispatch(Subposet.cube(n))[:2] == (PINNED_DEDEKIND[n], True)
             assert count_via_partition(Subposet.cube(n)) == PINNED_DEDEKIND[n]
 
     def test_seven_cube(self):
-        assert interval_sum(Subposet.cube(7)) == 2414682040998
+        assert dispatch(Subposet.cube(7))[:2] == (2414682040998, True)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -785,7 +813,8 @@ class TestIntervalSum:
         # T of at most 12 points in E^(n-2), the square on two random
         # coordinates, not always the two lowest; half the draws add T's
         # bottom, which joins every component.  A disconnected T, or an S
-        # small enough for the direct count, goes to the engine
+        # small enough for the direct count, goes to the engine, with the
+        # value and nodes of "single"
         n = data.draw(st.integers(2, 7))
         i, j = sorted(data.draw(st.permutations(range(n)))[:2])
         size = data.draw(st.integers(0, min(12, 1 << (n - 2))))
@@ -797,9 +826,9 @@ class TestIntervalSum:
         assert count_via_partition(S) == single
         connected = comparability_components(t_masks) == 1
         if connected and len(S) > partition_module._DIRECT_MAX_POINTS:
-            assert interval_sum(S) == single
+            assert dispatch(S)[:2] == (single, True)
         else:
-            assert interval_sum(S) is None
+            assert dispatch(S) == dispatch(S, False)
 
     def test_product_detection_matches_toggles(self, rng):
         # the first split the chooser yields has four equal fibres exactly
@@ -813,7 +842,7 @@ class TestIntervalSum:
         for S in sets:
             members = set(S.masks)
             free = [c for c in range(S.dim) if {m ^ 1 << c for m in members} == members]
-            splits = list(partition_module._coupled_splits(S))
+            splits = list(partition_module._coupled_splits(S.bitset, S.dim))
             product = bool(splits) and splits[0].count(splits[0][0]) == 4
             assert product == (len(free) >= 2)
             if product:
@@ -837,16 +866,16 @@ class TestIntervalSum:
         members = set(S.masks)
         free = [c for c in range(7) if {m ^ 1 << c for m in members} == members]
         assert free == [1, 4, 6]
-        splits = list(partition_module._coupled_splits(S))
+        splits = list(partition_module._coupled_splits(S.bitset, S.dim))
         assert len(splits) == 18
-        products = [partition_module._fibres(S, i, j)
+        products = [partition_module._fibres(S.bitset, S.dim, i, j)
                     for i, j in itertools.combinations(free, 2)]
         assert splits[:3] == products
         assert all(fibres.count(fibres[0]) == 4 for fibres in products)
         sizes = [[f.bit_count() for f in fibres] for fibres in splits]
         ranks = [(max(s), s[1] + s[2], len(set(fibres))) for s, fibres in zip(sizes, splits)]
         assert ranks == sorted(ranks)
-        by_pair = {(i, j): partition_module._fibres(S, i, j)
+        by_pair = {(i, j): partition_module._fibres(S.bitset, S.dim, i, j)
                    for i, j in itertools.combinations(range(7), 2)}
         for fibres in splits:
             assert any(brute_coupled(S, i, j) for (i, j), f in by_pair.items() if f == fibres)
@@ -858,12 +887,12 @@ class TestIntervalSum:
         assert sorted(splits) == sorted(qualifying)
         # E^8's product splits have fibres of 64 points, and every other
         # split has a fibre at least as large
-        assert list(partition_module._coupled_splits(Subposet.cube(8))) == []
+        assert list(partition_module._coupled_splits(Subposet.cube(8).bitset, 8)) == []
 
     def test_sets_around_the_direct_count_match_oracle(self):
         # every subset of E^3 has at most _DIRECT_MAX_POINTS points and goes
-        # to the engine; seeded subsets of E^4 and E^5 of 11-32 points take
-        # the fibre sum wherever a split is coupled
+        # to the engine, as under "single"; seeded subsets of E^4 and E^5 of
+        # 11-32 points take the fibre sum wherever a split is coupled
         rng = random.Random(11)
         sets = [Subposet(3, tuple(m for m in range(8) if bits >> m & 1)) for bits in range(256)]
         for n, top in ((4, 16), (5, 32)):
@@ -873,9 +902,11 @@ class TestIntervalSum:
         for S in sets:
             expected = count_monotone_oracle(S)
             assert count_via_partition(S) == expected
-            value = interval_sum(S)
-            assert value in (None, expected)
-            routed[S.dim, value is not None] += 1
+            value, summed, nodes = dispatch(S)
+            assert value == expected
+            if not summed:
+                assert (value, summed, nodes) == dispatch(S, False)
+            routed[S.dim, summed] += 1
         assert routed[3, True] == 0 and routed[4, True] + routed[5, True] >= 150
         # E^3 takes the engine's one node; E^4 takes the 5 decisions of the
         # walk over M(E^2) and the pair sum's 6 rows
@@ -887,12 +918,16 @@ class TestIntervalSum:
 
     def test_non_product_counted_by_engine(self):
         for S in (Subposet(3, (0, 1, 3)), Subposet.cube(1), Subposet(2, (0, 1, 2))):
-            assert interval_sum(S) is None
+            assert dispatch(S) == dispatch(S, False)
             assert count_via_partition(S) == count_via_partition(S, "single")
 
-    def test_too_many_points_left_to_engine(self):
-        # E^8 is E^6 x E^2, and E^6 has 64 points: no int64 truth table
-        assert interval_sum(Subposet.cube(8)) is None
+    def test_too_many_points_left_to_engine(self, monkeypatch):
+        # E^8 is E^6 x E^2, and E^6 has 64 points: no int64 truth table, so
+        # no split is tried and the first node spent is the engine's
+        splits = spy_on(monkeypatch, "_count_split")
+        with pytest.raises(BudgetExceededError):
+            count_via_partition(Subposet.cube(8), max_nodes=0)
+        assert splits == []
 
     def test_disconnected_product_stays_on_engine(self):
         # a 14-point antichain times E^2 is 14 disjoint squares, each
@@ -900,12 +935,8 @@ class TestIntervalSum:
         # where the interval sum would walk 2^14 maps
         antichain = [m for m in range(64) if m.bit_count() == 3][:14]
         S = product_with_square(8, 0, 7, antichain)
-        run = fresh_run()
-        assert partition_module._interval_sum(S, run) is None
-        assert run.nodes == 0
-        single = partition_module._EngineRun(MemoCache(), None, None)
-        assert partition_module._count_bits(S.bitset, S.dim, single) == 6 ** 14
-        assert count_via_partition(S, max_nodes=single.nodes) == 6 ** 14
+        assert dispatch(S) == dispatch(S, False) == (6 ** 14, False, 15)
+        assert count_via_partition(S, max_nodes=15) == 6 ** 14
 
     def test_too_many_maps_falls_back_exactly(self):
         # a bottom under a 14-point antichain is connected and has
@@ -918,19 +949,18 @@ class TestIntervalSum:
         expected = 6 ** 14 + 5 ** 14 + 2 * 3 ** 14 + 2 ** 14 + 1
         # the product split's walk reaches the cap and is dropped, its
         # decisions charged; the next coupled split counts S
-        product, *rest = partition_module._coupled_splits(S)
+        product, *rest = partition_module._coupled_splits(S.bitset, S.dim)
         assert product.count(product[0]) == 4 and rest
         walk = fresh_run()
         assert partition_module._count_split(product, S.dim, walk) is None
         assert walk.nodes == 10_010
-        run = fresh_run()
-        assert partition_module._interval_sum(S, run) == expected
         counted = fresh_run()
         assert partition_module._count_split(rest[0], S.dim, counted) == expected
-        assert run.nodes == walk.nodes + counted.nodes
-        assert count_via_partition(S, max_nodes=run.nodes) == expected
+        nodes = walk.nodes + counted.nodes
+        assert dispatch(S) == (expected, True, nodes)
+        assert count_via_partition(S, max_nodes=nodes) == expected
         with pytest.raises(BudgetExceededError):
-            count_via_partition(S, max_nodes=run.nodes - 1)
+            count_via_partition(S, max_nodes=nodes - 1)
 
     def test_every_split_dropped_falls_back_to_engine(self, monkeypatch):
         # E^6 minus its bottom is connected, with 63 points and 15 coupled
@@ -939,16 +969,13 @@ class TestIntervalSum:
         # counts
         S = Subposet(6, tuple(range(1, 64)))
         monkeypatch.setattr(partition_module, "INTERVAL_MAX_MAPS", 2)
-        assert len(list(partition_module._coupled_splits(S))) == 15
-        run = fresh_run()
-        assert partition_module._interval_sum(S, run) is None
+        assert len(list(partition_module._coupled_splits(S.bitset, S.dim))) == 15
+        single, _, engine = dispatch(S, False)
+        assert single == count_via_partition(S, "single") == PINNED_DEDEKIND[6] - 1
         # each split's walk of its 15-point F00 decides 15 points before it
         # reaches a third map
-        assert run.nodes == 15 * 15
-        engine = partition_module._EngineRun(MemoCache(), None, None)
-        single = partition_module._count_bits(S.bitset, S.dim, engine)
-        assert single == count_via_partition(S, "single") == PINNED_DEDEKIND[6] - 1
-        nodes = run.nodes + engine.nodes
+        nodes = 15 * 15 + engine
+        assert dispatch(S) == (single, False, nodes)
         assert count_via_partition(S, max_nodes=nodes) == single
         with pytest.raises(BudgetExceededError):
             count_via_partition(S, max_nodes=nodes - 1)
@@ -961,13 +988,10 @@ class TestIntervalSum:
         assert len(S) > partition_module._DIRECT_MAX_POINTS
         assert comparability_components(S.masks) == 1
         assert not any(brute_coupled(S, i, j) for i, j in itertools.combinations(range(6), 2))
-        run = fresh_run()
-        assert partition_module._interval_sum(S, run) is None
-        assert run.nodes == 0
-        single = partition_module._EngineRun(MemoCache(), None, None)
-        expected = partition_module._count_bits(S.bitset, S.dim, single)
+        expected, _, nodes = dispatch(S, False)
+        assert dispatch(S) == (expected, False, nodes)
         assert expected == count_monotone_oracle(S)
-        assert count_via_partition(S, max_nodes=single.nodes) == expected
+        assert count_via_partition(S, max_nodes=nodes) == expected
 
     def test_walk_lists_the_oracle_maps(self, rng):
         # the walk's truth tables are the ones the enumeration oracle lists
@@ -979,9 +1003,9 @@ class TestIntervalSum:
     def test_budgets(self):
         for S in (Subposet.cube(5), Subposet.cube(6)):
             with pytest.raises(BudgetExceededError):
-                interval_sum(S, max_nodes=5)
+                dispatch(S, max_nodes=5)
             with pytest.raises(BudgetExceededError):
-                interval_sum(S, budget_seconds=0.0)
+                dispatch(S, budget_seconds=0.0)
             with pytest.raises(BudgetExceededError):
                 count_via_partition(S, max_nodes=5)
             with pytest.raises(BudgetExceededError):
@@ -996,6 +1020,52 @@ class TestIntervalSum:
             count_via_partition(S, max_nodes=334)
         with pytest.raises(BudgetExceededError):
             count_via_partition(S, max_nodes=167)
+
+
+# Inputs the fibre sum turns away, with D and the nodes they take: two E^5
+# halves of E^7 and two E^6 halves of E^8 (the engine's memo answers the
+# second half), 14 disjoint squares, and a connected set of E^6 with no
+# coupled split
+ENGINE_ROUTED = {
+    "e7_halves": (lambda: Subposet(7, tuple(x for x in range(128) if (x ^ x >> 1) & 1)),
+                  7581 ** 2, 125),
+    "e8_halves": (lambda: Subposet(8, tuple(x for x in range(256) if (x ^ x >> 1) & 1)),
+                  7828354 ** 2, 2897),
+    "antichain_squares": (
+        lambda: product_with_square(8, 0, 7, [m for m in range(64) if m.bit_count() == 3][:14]),
+        6 ** 14, 15),
+    "no_coupled_split": (lambda: random_subposet(random.Random(7), 6, 0.5), 274350, 279),
+}
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("name", list(ENGINE_ROUTED))
+    def test_auto_routes_as_single_searching_components_once(self, name, monkeypatch):
+        build, value, nodes = ENGINE_ROUTED[name]
+        S = build()
+        assert dispatch(S, False) == (value, False, nodes)
+        searched = spy_on(monkeypatch, "_components")
+        splits = spy_on(monkeypatch, "_count_split")
+        run = partition_module._EngineRun(MemoCache())
+        assert partition_module._count(S, "auto", run) == value
+        assert run.nodes == nodes
+        assert [bits for bits, _ in searched].count(S.bitset) == 1
+        assert splits == []
+
+    def test_one_router(self):
+        # only _count_bits chooses splits and counts them, so no second
+        # router can ask its size and connectivity questions again
+        tree = ast.parse(inspect.getsource(partition_module))
+        callers = {
+            name: {
+                getattr(top, "name", "<module>")
+                for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            }
+            for name in ("_coupled_splits", "_count_split")
+        }
+        assert callers == {"_coupled_splits": {"_count_bits"}, "_count_split": {"_count_bits"}}
 
 
 class TestPartitionTerms:
@@ -1222,7 +1292,7 @@ class TestBudgetContract:
         # first split runs out of a budget of 0
         S = random_subposet(random.Random(3), 8, 0.9)
         assert len(S) == 230
-        assert len(list(partition_module._coupled_splits(S))) == 17
+        assert len(list(partition_module._coupled_splits(S.bitset, S.dim))) == 17
         real = partition_module._count_split
         calls = []
 

@@ -441,30 +441,29 @@ def _count_bits(
     return result
 
 
-def _pivot_maps(A: Subposet, run: _EngineRun) -> Iterator[tuple[int, int]]:
-    """Walk the monotone maps on A depth first, deciding the least undecided
-    point first, 0-branch first.  For each map f yield (table, covered):
-    table is f's truth table over A's points, bit i being f(A.masks[i]) as
-    in MonotoneMap.bits, and covered is the point-space bitset of the whole
-    region f forces.  The walk keeps the undecided points and the ones in
-    A's rank space, through up/down tables narrowed to A once per walk.
-    Every decision spends one engine node, so the run's budgets bound the
-    walk; each decision splits the walk in two, so it spends one node less
-    than it yields maps.  An empty A yields (0, 0) once."""
-    up_t, down_t = _updown_tables(A.dim)
-    ups = [up_t[m] for m in A.masks]
-    downs = [down_t[m] for m in A.masks]
-    rank_ups = [_extract_bits(u, A.bitset) for u in ups]
-    rank_downs = [_extract_bits(d, A.bitset) for d in downs]
-    stack = [((1 << len(A)) - 1, 0, 0)]
+def _pivot_maps(bits: int, dim: int, run: _EngineRun) -> Iterator[tuple[int, int]]:
+    """Walk the monotone maps on the point set A = bits of E^dim depth first,
+    deciding the least undecided point first, 0-branch first.  For each map
+    f yield (table, covered): table is f's truth table over A's points in
+    ascending order, as in MonotoneMap.bits, and covered is the point-space
+    bitset of the region f forces.  The points below the one decided are
+    smaller, so already decided: a 0 decides that point alone, and a 1 the
+    undecided points of its up-set.  Every decision spends one engine node,
+    so the run's budgets bound the walk; each splits the walk in two, so a
+    walk spends one node less than it yields maps.  An empty A yields (0, 0)
+    once."""
+    up_t, down_t = _updown_tables(dim)
+    steps = [(_extract_bits(up_t[m], bits), up_t[m], down_t[m]) for m in _mask_list(bits)]
+    stack = [((1 << len(steps)) - 1, 0, 0)]
     while stack:
         undecided, ones, covered = stack.pop()
         while undecided:
             run.tick()
             i = (undecided & -undecided).bit_length() - 1
-            stack.append((undecided & ~rank_ups[i], ones | rank_ups[i], covered | ups[i]))
-            undecided &= ~rank_downs[i]
-            covered |= downs[i]
+            rank_up, up, down = steps[i]
+            stack.append((undecided & ~rank_up, ones | rank_up, covered | up))
+            undecided ^= 1 << i
+            covered |= down
         yield ones, covered
 
 
@@ -533,9 +532,9 @@ def _coupled_splits(bits: int, dim: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _order_counts(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the sorted truth tables of every monotone map on a set, the maps
-    under each map and the maps over it, from one subset matrix built in
-    numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS pairs."""
+    """For the truth tables of every monotone map on a set, in any order,
+    the maps under each map and the maps over it, from one subset matrix
+    built in numpy blocks of rows of at most _INTERVAL_BLOCK_PAIRS pairs."""
     k = len(maps)
     rows = max(1, _INTERVAL_BLOCK_PAIRS // k)
     below = np.empty(k, np.int64)
@@ -569,16 +568,18 @@ def _lookup(
     maps: np.ndarray, values: np.ndarray, points: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """A function that reads values[i] at the truth table maps[i], for any
-    array of truth tables that all lie in maps, the sorted tables of every
-    monotone map on a fibre of the given number of points.  When the
+    array of truth tables that all lie in maps, the tables of every monotone
+    map on a fibre of the given number of points, in any order.  When the
     fibre's 2^points truth tables fit in one block of _INTERVAL_BLOCK_PAIRS
     (at most 18 points) it reads a direct-address table, whose entries at
-    the other truth tables are never read; otherwise it finds each query in
-    maps by searchsorted."""
+    the other truth tables are never read; otherwise it sorts maps, values
+    alongside, and finds each query by searchsorted."""
     if 1 << points <= _INTERVAL_BLOCK_PAIRS:
         table = np.zeros(1 << points, np.int64)
         table[maps] = values
         return table.take
+    order = np.argsort(maps)
+    maps, values = maps[order], values[order]
 
     def search(q):
         # rebinding q frees the queries before the gather, as an inline
@@ -606,8 +607,8 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
     one on F11, whose count _lookup reads.
 
     Everything is computed once per distinct fibre and kept in dicts keyed
-    by fibre: the walk and the sorted truth tables of its maps, the order
-    counts of F00 and F11, and the images of F01 and F10.  So a product,
+    by fibre: the walk and the truth tables of its maps, in walk order, the
+    order counts of F00 and F11, and the images of F01 and F10.  So a product,
     whose four fibres are equal, walks and counts one fibre and needs no
     image.  Every walk decision spends one engine node as it is made, and
     each row a of the pair sum one node, charged a block at a time before
@@ -616,15 +617,12 @@ def _count_split(fibres: tuple[int, int, int, int], dim: int, run: _EngineRun) -
     the images.  At 10^4 maps and below every partial sum stays far inside
     int64."""
     maps = {}
-    for f in fibres:
-        if f in maps:
-            continue
-        tables = []
-        for table, _ in _pivot_maps(Subposet._from_bits(dim, f), run):
-            if len(tables) == INTERVAL_MAX_MAPS:
-                return None
-            tables.append(table)
-        maps[f] = np.sort(np.array(tables, np.int64))
+    for f in dict.fromkeys(fibres):
+        # one map past the cap is enough to drop the split
+        walk = itertools.islice(_pivot_maps(f, dim, run), INTERVAL_MAX_MAPS + 1)
+        maps[f] = np.array([table for table, _ in walk], np.int64)
+        if len(maps[f]) > INTERVAL_MAX_MAPS:
+            return None
 
     f00, f01, f10, f11 = fibres
     counts = {f: _order_counts(maps[f]) for f in {f00, f11}}
@@ -664,8 +662,8 @@ def _reach(undecided: int, near: tuple[int, ...]) -> int:
     return reach
 
 
-def _residual_sizes(A: Subposet, run: _EngineRun) -> dict[int, int]:
-    """The residual-size polynomial of a pivot subset A of the full cube, as
+def _residual_sizes(bits: int, dim: int, run: _EngineRun) -> dict[int, int]:
+    """The residual-size polynomial of a pivot subset A = bits of E^dim, as
     {k: c}: c monotone maps f on A leave exactly k points of the cube outside
     the region f forces.
 
@@ -678,12 +676,12 @@ def _residual_sizes(A: Subposet, run: _EngineRun) -> dict[int, int]:
     of which there are at most 2^|A|.  The walk keeps an explicit stack, so
     its depth (up to |A| decisions) is not bounded by the recursion limit,
     and every memo miss spends one engine node."""
-    up_t, down_t = _updown_tables(A.dim)
-    near = _comparable_table(A.dim)
-    width = len(A) + 1
-    free = ((1 << (1 << A.dim)) - 1) & ~A.bitset
-    reach = _reach(A.bitset, near)
-    root = (A.bitset, free & reach)
+    up_t, down_t = _updown_tables(dim)
+    near = _comparable_table(dim)
+    width = bits.bit_count() + 1
+    free = ((1 << (1 << dim)) - 1) & ~bits
+    reach = _reach(bits, near)
+    root = (bits, free & reach)
     # U -> (child U, points kept live, points dropped) for the 1- and 0-branch
     branches: dict[int, list[tuple[int, int, int]]] = {}
     memo = {(0, 0): 1}
@@ -726,17 +724,17 @@ def _residual_sizes(A: Subposet, run: _EngineRun) -> dict[int, int]:
     return counts
 
 
-def _free_edge(A: Subposet) -> tuple[int, int] | None:
-    """The least cube edge (m, m | e_i), by m and then i, with both ends
-    outside A, or None.  Some residual of pivot A holds a comparable pair
-    exactly when such an edge exists: the map f(a) = [a >= m] leaves both its
-    ends free, and a free comparable pair p < q leaves every point between
-    them free, the edges out of p toward q among them."""
-    full = (1 << A.dim) - 1
-    down_t = _updown_tables(A.dim)[1]
-    free = ((1 << (1 << A.dim)) - 1) & ~A.bitset
+def _free_edge(bits: int, dim: int) -> tuple[int, int] | None:
+    """The least cube edge (m, m | e_i) of E^dim, by m and then i, with both
+    ends outside the pivot A = bits, or None.  Some residual of A holds a
+    comparable pair exactly when such an edge exists: the map f(a) = [a >= m]
+    leaves both its ends free, and a free comparable pair p < q leaves every
+    point between them free, the edges out of p toward q among them."""
+    full = (1 << dim) - 1
+    down_t = _updown_tables(dim)[1]
+    free = ((1 << (1 << dim)) - 1) & ~bits
     edges = []
-    for i in range(A.dim):
+    for i in range(dim):
         # free points with coordinate i clear whose neighbour m | e_i is free
         lows = free & down_t[full ^ 1 << i] & (free >> (1 << i))
         if lows:
@@ -802,7 +800,7 @@ def _count(S: Subposet, strategy: PivotStrategy, run: _EngineRun) -> int:
         s_bits = S.bitset
         return sum(
             _count_bits(s_bits & ~covered, S.dim, run)
-            for _, covered in _pivot_maps(strategy, run)
+            for _, covered in _pivot_maps(strategy.bitset, S.dim, run)
         )
     if strategy not in ("auto", "single"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -827,7 +825,7 @@ def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
     s_bits = S.bitset
     return [
         PartitionTerm(MonotoneMap(A, table), Subposet._from_bits(S.dim, s_bits & ~covered))
-        for table, covered in _pivot_maps(A, _EngineRun())
+        for table, covered in _pivot_maps(A.bitset, S.dim, _EngineRun())
     ]
 
 
@@ -1090,7 +1088,7 @@ def decompose_power_of_two(
     """
     A = construct_layer_subset(n, parity)
     run = _EngineRun(None, max_nodes, budget_seconds)
-    edge = _free_edge(A)
+    edge = _free_edge(A.bitset, A.dim)
     if edge is not None:
         m, y = edge
         pivot_text = ", ".join(f"{Point(a, n)}={int(a & m == m)}" for a in A.masks)
@@ -1099,4 +1097,4 @@ def decompose_power_of_two(
             f"{Point(m, n)} below {Point(y, n)} "
             f"(n={n}, parity={parity}, pivot values {pivot_text})"
         )
-    return TwoAdicPolynomial.from_counts(_residual_sizes(A, run))
+    return TwoAdicPolynomial.from_counts(_residual_sizes(A.bitset, A.dim, run))

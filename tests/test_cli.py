@@ -94,7 +94,7 @@ class TestCount:
         # state count and runs out one node below it, as the library does
         for n in range(2, 7):
             walk = partition_module._EngineRun(None, None, None)
-            partition_module._residual_sizes(construct_layer_subset(n, "even"), walk)
+            partition_module._residual_sizes(construct_layer_subset(n, "even").bitset, n, walk)
             argv = ("count", "--n", str(n), "--strategy", "layer", "--max-nodes")
             value = decompose_power_of_two(n, "even", max_nodes=walk.nodes).value()
             assert value == PINNED_DEDEKIND[n]
@@ -208,6 +208,18 @@ class TestVerify:
         assert all(line.endswith(f" = {PINNED_DEDEKIND[6]})") and ": pass (" in line
                    for line in pivots)
         assert lines[-1] == "64/64 checks passed"
+
+    def test_cube_suites_check_pinned_values(self, capsys, monkeypatch):
+        # corollary and 4 compare with PINNED_DEDEKIND, so neither counts
+        # the cube it checks
+        def no_count(*args, **kwargs):
+            raise AssertionError("a verify suite counted the cube")
+
+        monkeypatch.setattr(cli_module, "count_via_partition", no_count)
+        for theorem, checks in (("corollary", 16), ("4", 2)):
+            code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n", "4")
+            assert code == 0
+            assert out.splitlines()[-1] == f"{checks}/{checks} checks passed"
 
     def test_layer_subset_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "lemma3", "--n", "5")

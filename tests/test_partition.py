@@ -773,6 +773,21 @@ class TestFibreSum:
         assert counts() == shipped
         assert made and all(table is None for _, table in made)
 
+    def test_search_reads_maps_in_walk_order(self, rng):
+        # E^5 has 32 points, so no table: the search is handed the 7,581
+        # maps in the order the walk yields them, which is not ascending,
+        # and reads back the value stored with each map
+        walked = partition_module._pivot_maps((1 << 32) - 1, 5, fresh_run())
+        maps = np.array([table for table, _ in walked], np.int64)
+        assert len(maps) == PINNED_DEDEKIND[5]
+        assert (np.diff(maps) < 0).any()
+        values = np.arange(len(maps))
+        read = partition_module._lookup(maps, values, 32)
+        assert not isinstance(getattr(read, "__self__", None), np.ndarray)
+        order = list(range(len(maps)))
+        rng.shuffle(order)
+        assert (read(maps[order]) == values[order]).all()
+
     def test_tables_stay_inside_one_block(self, monkeypatch):
         # E^7's product split has fibres of 32 points, so both order counts
         # are searched and D(7) is unchanged; a connected T of 18 points in
@@ -997,7 +1012,8 @@ class TestIntervalSum:
         # the walk's truth tables are the ones the enumeration oracle lists
         pool = [A for A in pivot_pool(rng) if A.dim <= 4]
         for A in pool:
-            tables = sorted(t for t, _ in partition_module._pivot_maps(A, fresh_run()))
+            walk = partition_module._pivot_maps(A.bitset, A.dim, fresh_run())
+            tables = sorted(t for t, _ in walk)
             assert tables == sorted(f.bits for f in enumerate_monotone(A))
 
     def test_budgets(self):
@@ -1066,6 +1082,34 @@ class TestDispatcher:
             for name in ("_coupled_splits", "_count_split")
         }
         assert callers == {"_coupled_splits": {"_count_bits"}, "_count_split": {"_count_bits"}}
+
+    def test_one_representation(self):
+        # below the public entries the private layer takes point sets as
+        # (bits, dim): no private function builds a Subposet, and only the
+        # two that check or route the public arguments take one
+        tree = ast.parse(inspect.getsource(partition_module))
+        private = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        ]
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+        builds = {
+            f.name
+            for f in private
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and "Subposet" in names(node.func)
+        }
+        takes = {
+            f.name
+            for f in private
+            for arg in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+            if arg.annotation is not None and "Subposet" in names(arg.annotation)
+        }
+        assert builds == set()
+        assert takes == {"_validate_subset", "_count"}
 
 
 class TestPartitionTerms:
@@ -1819,7 +1863,7 @@ class TestPowerOfTwoDecomposition:
     def test_size_polynomial_matches_leaf_sizes_on_any_pivot(self, rng):
         for A in pivot_pool(rng):
             sizes = Counter(r.bit_count() for r in reference_leaf_residuals(A))
-            assert partition_module._residual_sizes(A, fresh_run()) == dict(sizes)
+            assert partition_module._residual_sizes(A.bitset, A.dim, fresh_run()) == dict(sizes)
 
     def test_edge_check_iff_some_leaf_residual_is_comparable(self, rng):
         pool = pivot_pool(rng)
@@ -1830,7 +1874,7 @@ class TestPowerOfTwoDecomposition:
                 reference_comparable_pair(r, A.dim) is not None
                 for r in reference_leaf_residuals(A)
             )
-            assert (partition_module._free_edge(A) is not None) == comparable
+            assert (partition_module._free_edge(A.bitset, A.dim) is not None) == comparable
             seen.add(comparable)
         assert seen == {False, True}
 
@@ -1840,7 +1884,7 @@ class TestPowerOfTwoDecomposition:
             r"\(n=(\d+), parity=odd, pivot values (.*)\)$"
         )
         for A in pivot_pool(rng):
-            if partition_module._free_edge(A) is None:
+            if partition_module._free_edge(A.bitset, A.dim) is None:
                 continue
             monkeypatch.setattr(partition_module, "construct_layer_subset", lambda n, p: A)
             with pytest.raises(FalsificationError) as info:

@@ -884,53 +884,36 @@ def e2_condition_check(A: Subposet, n: int, mode: str = DEFAULT_COVER_MODE) -> b
     """The 2-face condition on the full cube: every four-point diamond B of
     E^n must put one of its two middle points in A, or both its endpoints.
 
-    Under the ambient reading the diamonds are the standard 2-faces.  Under
-    the induced reading every interval [x, y] contributes a diamond for each
+    Under the ambient reading the diamonds are the standard 2-faces, tested
+    one coordinate pair at a time over point space.  Under the induced
+    reading every interval [x, y] contributes a diamond for each
     incomparable pair of interior points, so the non-A interior of every
-    interval must form a chain."""
+    interval with an end outside A must form a chain.  Incomparable z and w
+    lie strictly inside [x, y] exactly when x <= z & w and y >= z | w, so
+    this holds iff no incomparable pair outside A has a point outside A
+    below z & w or above z | w."""
     _check_mode(mode)
     if A.dim != n:
         raise ValueError(f"pivot dimension {A.dim} != {n}")
-    in_a = frozenset(A.masks)
-    size = 1 << n
+    up_t, down_t = _updown_tables(n)
+    full = (1 << n) - 1
+    a = A.bitset
+    out = (1 << (1 << n)) - 1 & ~a
 
     if mode == "ambient":
-        for x in range(size):
-            for i in range(n):
-                if x >> i & 1:
-                    continue
-                m1 = x | 1 << i
-                for j in range(i + 1, n):
-                    if x >> j & 1:
-                        continue
-                    m2 = x | 1 << j
-                    if m1 in in_a or m2 in in_a:
-                        continue
-                    if x in in_a and (m1 | m2) in in_a:
-                        continue
-                    return False
+        # bit x of a >> s reads x + s in A: the middles sit si and sj above a
+        # bottom x with both coordinates clear, the top si + sj above it
+        for si, sj in itertools.combinations([1 << i for i in range(n)], 2):
+            bottoms = down_t[full ^ si] & down_t[full ^ sj]
+            if bottoms & (out >> si) & (out >> sj) & ~(a & a >> si + sj):
+                return False
         return True
 
-    full = size - 1
-    for x in range(size):
-        free = full & ~x
-        t = free
-        while t:
-            if t.bit_count() >= 2:
-                y = x | t
-                if not (x in in_a and y in in_a):
-                    # every incomparable pair of non-A interior points violates
-                    interior = []
-                    u = (t - 1) & t
-                    while u:
-                        if (x | u) not in in_a:
-                            interior.append(u)
-                        u = (u - 1) & t
-                    interior.sort()
-                    for a_, b_ in zip(interior, interior[1:]):
-                        if a_ & ~b_:
-                            return False
-            t = (t - 1) & free
+    for z in _mask_list(out):
+        # the points of out above z numerically and incomparable to it
+        for w in _mask_list((out >> z + 1) << z + 1 & ~(up_t[z] | down_t[z])):
+            if (down_t[z & w] | up_t[z | w]) & out:
+                return False
     return True
 
 
@@ -1020,23 +1003,21 @@ def construct_recursive_partition(n: int, i: int, seed: Subposet) -> Subposet:
     if seed.dim != n:
         raise ValueError(f"seed dimension {seed.dim} != {n}")
     bit = 1 << (i - 1)
-    if any(not m & bit for m in seed.masks):
+    upper = _updown_tables(n)[0][bit]
+    if seed.bitset & ~upper:
         raise ValueError("seed must lie in the upper subcube (coordinate i equal to 1)")
     w = find_v3(seed, DEFAULT_COVER_MODE)
     if w is not None:
         raise ValueError(f"seed contains a V-shape: {w}")
-    upper = Subposet(n, tuple(m for m in range(1 << n) if m & bit))
-    w = find_v3(upper.minus(seed), DEFAULT_COVER_MODE)
+    rest = upper & ~seed.bitset
+    w = find_v3(Subposet._from_bits(n, rest), DEFAULT_COVER_MODE)
     if w is not None:
         raise ValueError(
             "seed does not completely partition the upper subcube; "
             f"V-shape in the remainder: {w}"
         )
-    in_seed = set(seed.masks)
-    mirrors = tuple(
-        m for m in range(1 << n) if not m & bit and (m | bit) not in in_seed
-    )
-    return Subposet(n, seed.masks + mirrors)
+    # the mirror m of a point m | bit sits bit places below it in point space
+    return Subposet._from_bits(n, seed.bitset | rest >> bit)
 
 
 def minimality_check(A: Subposet, n: int) -> str:

@@ -222,7 +222,7 @@ def _verify_lemma2(args, rng):
     violations = []
     for masks in pool:
         A = Subposet(args.n, masks)
-        if not A.masks or not is_complete_partition(A, S):
+        if not A.bitset or not is_complete_partition(A, S):
             continue
         checked += 1
         v_free = find_v3(A) is None

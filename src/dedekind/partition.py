@@ -1031,7 +1031,7 @@ def minimality_check(A: Subposet, n: int) -> str:
         raise ValueError(f"pivot dimension {A.dim} != {n}")
     # an empty pivot partitions nothing; without this the vacuously V-free
     # remainder E^1 would slip past the predicate and falsify the size law
-    if not A.masks or not is_complete_partition(A, Subposet.cube(n)):
+    if not A.bitset or not is_complete_partition(A, Subposet.cube(n)):
         return NOT_COMPLETE
     half = 1 << (n - 1)
     if find_v3(A, DEFAULT_COVER_MODE) is None:

@@ -138,33 +138,33 @@ class V3Witness:
                 f"orientation {self.orientation}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subposet:
-    """An immutable set of points of E^dim, ordered by numeric value."""
+    """An immutable set of points of E^dim, stored as its point-space bitset
+    (bit m set iff mask m belongs); masks and points are decoded on demand."""
 
     dim: int
-    masks: tuple[int, ...]
+    bitset: int
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        top = 1 << self.dim
-        # checked before sorting, so that a mask that is no int raises this
-        # ValueError rather than a TypeError from the comparison
-        for m in self.masks:
-            if not isinstance(m, int) or not 0 <= m < top:
-                raise ValueError(f"mask {m!r} out of range for dimension {self.dim}")
-        object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
+    def __init__(self, dim: int, masks: Iterable[int]) -> None:
+        _check_dim(dim)
+        bits = 0
+        for m in masks:
+            if not isinstance(m, int) or not 0 <= m < 1 << dim:
+                raise ValueError(f"mask {m!r} out of range for dimension {dim}")
+            bits |= 1 << m
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bitset", bits)
 
     @classmethod
     def _from_bits(cls, dim: int, bits: int) -> "Subposet":
         """Trusted constructor from a point-space bitset of E^dim, for
-        callers whose bits are a region of the cube they already hold: the
-        masks come out sorted and distinct, so the range check, the dedup
-        and the sort are skipped, and the cached bitset is preset."""
+        callers whose bits are a region of the cube they already hold: it
+        sets the two fields and checks nothing; the masks are decoded only
+        when read."""
         S = object.__new__(cls)
         object.__setattr__(S, "dim", dim)
-        object.__setattr__(S, "masks", tuple(_mask_list(bits)))
-        S.__dict__["bitset"] = bits
+        object.__setattr__(S, "bitset", bits)
         return S
 
     @classmethod
@@ -181,23 +181,21 @@ class Subposet:
     @classmethod
     def cube(cls, dim: int) -> "Subposet":
         _check_dim(dim)
-        return cls(dim, tuple(range(1 << dim)))
+        return cls._from_bits(dim, (1 << (1 << dim)) - 1)
 
     @classmethod
     def empty(cls, dim: int) -> "Subposet":
-        return cls(dim, ())
+        _check_dim(dim)
+        return cls._from_bits(dim, 0)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Member masks, ascending."""
+        return tuple(_mask_list(self.bitset))
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(Point(m, self.dim) for m in self.masks)
-
-    @cached_property
-    def bitset(self) -> int:
-        """Membership bitset over point space: bit m set iff mask m belongs."""
-        bits = 0
-        for m in self.masks:
-            bits |= 1 << m
-        return bits
 
     def dual(self) -> "Subposet":
         """Complement every coordinate; reverses the induced order."""
@@ -210,7 +208,7 @@ class Subposet:
         return Subposet._from_bits(self.dim, self.bitset & ~other.bitset)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.bitset.bit_count()
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -225,9 +223,9 @@ class Subposet:
 
     @classmethod
     def from_text(cls, text: str) -> "Subposet":
-        """Parse the poset text format: an 'n=<dim>' header, one point per line."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
+        """Parse the poset text format: an 'n=<dim>' header, one point per line.
+        Blank lines are skipped, but at n=0 one is the empty word, the cube's point."""
+        lines = [ln.strip() for ln in text.lstrip().splitlines()]
         if not lines or not lines[0].startswith("n="):
             raise PosetParseError("first line must be a header of the form n=<dim>")
         try:
@@ -235,19 +233,19 @@ class Subposet:
         except ValueError:
             raise PosetParseError(f"bad header {lines[0]!r}") from None
         _check_dim_parse(dim)
-        masks = []
-        seen = set()
+        bits = 0
         for ln in lines[1:]:
+            if not ln and dim:
+                continue
             if len(ln) != dim or any(c not in "01" for c in ln):
                 raise PosetParseError(
                     f"line {ln!r} is not a {dim}-character 0/1 string"
                 )
-            p = Point.from_text(ln)
-            if p.mask in seen:
+            bit = 1 << int(ln[::-1] or "0", 2)
+            if bits & bit:
                 raise PosetParseError(f"duplicate point {ln!r}")
-            seen.add(p.mask)
-            masks.append(p.mask)
-        return cls(dim, tuple(masks))
+            bits |= bit
+        return cls._from_bits(dim, bits)
 
 
 def _check_dim_parse(dim: int) -> None:
@@ -267,8 +265,8 @@ def lower_set(a: Point) -> Subposet:
 
 def _generated_bits(A: Subposet, y: Sequence[int]) -> int:
     """Point-space bitset of the region generated_subset(A, y) covers."""
-    if len(y) != len(A.masks):
-        raise ValueError(f"value vector length {len(y)} != |A| = {len(A.masks)}")
+    if len(y) != len(A):
+        raise ValueError(f"value vector length {len(y)} != |A| = {len(A)}")
     up_t, down_t = _updown_tables(A.dim)
     bits = 0
     for m, v in zip(A.masks, y):

@@ -44,6 +44,10 @@ class TestCount:
         assert code == 0
         assert out == "2\n"
 
+    def test_single_point_cube_file(self, capsys, tmp_path):
+        path = write_poset(tmp_path, "cube0.txt", Subposet.cube(0))
+        assert run(capsys, "count", "--poset", path) == run(capsys, "count", "--n", "0") == (0, "2\n", "")
+
     def test_poset_file_chain(self, capsys, tmp_path):
         chain4 = Subposet(3, (0, 1, 3, 7))
         path = write_poset(tmp_path, "chain4.txt", chain4)

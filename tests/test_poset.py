@@ -1,7 +1,9 @@
 """Order-theoretic core: points, subposets, cover relations, V-shape search,
 and the cover-preserving isomorphism routine."""
 
+import dataclasses
 import itertools
+import pathlib
 import random
 from collections import Counter
 
@@ -153,6 +155,15 @@ class TestPoint:
                     assert weight(a) == weight(b) + 1
 
 
+def representation_pool() -> list[tuple[int, int]]:
+    """(dim, bitset) of every subset of E^0-E^3, then seeded subsets of E^4-E^8."""
+    pool = [(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+    rng = random.Random(27)
+    for n in range(4, 9):
+        pool += [(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for _ in range(12)]
+    return pool
+
+
 class TestSubposet:
     def test_membership_normalized(self):
         sub = Subposet(2, (3, 0, 3))
@@ -222,6 +233,57 @@ class TestSubposet:
     def test_parse_allows_blank_lines_and_empty_set(self):
         assert Subposet.from_text("n=3\n\n101\n\n") == S(3, "101")
         assert Subposet.from_text("n=2\n") == Subposet.empty(2)
+
+    def test_masks_decode_the_bitset_whatever_the_input_order(self):
+        rng = random.Random(5)
+        for n, bits in representation_pool():
+            masks = [m for m in range(1 << n) if bits >> m & 1]
+            shuffled = rng.sample(masks, len(masks))
+            repeated = shuffled + masks[: len(masks) // 2 + 1] if masks else []
+            trusted = Subposet._from_bits(n, bits)
+            for given in (masks, shuffled, repeated, iter(shuffled)):
+                sub = Subposet(n, given)
+                assert sub == trusted and hash(sub) == hash(trusted)
+                assert sub.masks == tuple(sorted(set(masks)))
+                assert len(sub) == len(masks)
+                assert sub.points == tuple(Point(m, n) for m in sub.masks)
+                assert all((Point(m, n) in sub) == (bits >> m & 1 == 1) for m in range(1 << n))
+
+    def test_cube_and_empty_match_their_mask_forms(self):
+        for n in range(13):
+            assert Subposet.cube(n) == Subposet(n, range(1 << n))
+            assert Subposet.empty(n) == Subposet(n, ())
+        for bad in (13, -1):
+            for build in (Subposet.cube, Subposet.empty):
+                with pytest.raises(ValueError, match=rf"^dimension must be an int in \[0, 12\], got {bad}$"):
+                    build(bad)
+
+    def test_mask_error_texts(self):
+        with pytest.raises(ValueError, match=r"^mask 4 out of range for dimension 2$"):
+            Subposet(2, (1, 4))
+        with pytest.raises(ValueError, match=r"^mask 'a' out of range for dimension 2$"):
+            Subposet(2, (1, "a"))
+
+    def test_stored_fields_are_dim_and_bitset(self):
+        assert [f.name for f in dataclasses.fields(Subposet)] == ["dim", "bitset"]
+        assert repr(Subposet(2, (3, 0))) == "Subposet(dim=2, bitset=9)"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "dedekind"
+        assert [p.name for p in src.glob("*.py") if "__dict__" in p.read_text()] == []
+
+    def test_text_roundtrip_on_every_small_subset(self):
+        for n, bits in representation_pool():
+            sub = Subposet._from_bits(n, bits)
+            assert Subposet.from_text(sub.to_text()) == sub
+
+    def test_zero_cube_point_is_a_blank_line(self):
+        assert Subposet.cube(0).to_text() == "n=0\n\n"
+        assert Subposet.from_text("n=0\n\n") == Subposet.cube(0)
+        assert Subposet.from_text("\n n=0 \n  \n") == Subposet.cube(0)
+        assert Subposet.from_text("n=0\n") == Subposet.empty(0)
+        with pytest.raises(PosetParseError, match="duplicate point ''"):
+            Subposet.from_text("n=0\n\n\n")
+        with pytest.raises(PosetParseError, match="is not a 0-character 0/1 string"):
+            Subposet.from_text("n=0\n\n0\n")
 
 
 class TestSetConstructions:

@@ -667,51 +667,50 @@ def _residual_sizes(bits: int, dim: int, run: _EngineRun) -> dict[int, int]:
     {k: c}: c monotone maps f on A leave exactly k points of the cube outside
     the region f forces.
 
-    The pivots are decided lowest first, as in _pivot_maps, but a state is
-    memoized as (U, live): U is the set of undecided pivots and live the free
-    non-pivot points within reach of U, i.e. comparable to one of its
-    members.  A free point out of reach can never be covered again, so it
-    only shifts the polynomial.  Polynomials are packed into one int, |A| + 1
-    bits a coefficient; a coefficient counts monotone maps on a subset of A,
-    of which there are at most 2^|A|.  The walk keeps an explicit stack, so
-    its depth (up to |A| decisions) is not bounded by the recursion limit,
-    and every memo miss spends one engine node."""
+    The pivots are decided lowest first, as in _pivot_maps.  A state is one
+    point-space bitset, key = U | live, of the undecided pivots U and the
+    free points live within reach of U (comparable to one of its members):
+    U lies in A and live outside it, so they are disjoint and key & A is U.
+    A branch on U's least pivot covers its up- or down-set and has two masks
+    that depend on U alone: keep, the reach of the pivots left undecided
+    (them included) minus the cover, and drop, the points in neither.  The
+    child is key & keep; the key & drop points never become coverable again
+    and only shift the polynomial, one int of |A| + 1 bits a coefficient (a
+    coefficient counts at most 2^|A| maps).  The stack holds a state as key
+    and its visit after its children as ~key, so the walk's depth (up to |A|
+    decisions) is not bounded by the recursion limit; each miss spends a node."""
     up_t, down_t = _updown_tables(dim)
     near = _comparable_table(dim)
     width = bits.bit_count() + 1
     free = ((1 << (1 << dim)) - 1) & ~bits
     reach = _reach(bits, near)
-    root = (bits, free & reach)
-    # U -> (child U, points kept live, points dropped) for the 1- and 0-branch
-    branches: dict[int, list[tuple[int, int, int]]] = {}
-    memo = {(0, 0): 1}
-    stack: list = [(root, None)]
+    root = bits | free & reach
+    # U -> (keep, drop) masks of the 1-branch, then of the 0-branch
+    branches: dict[int, tuple[int, int, int, int]] = {}
+    memo = {0: 1}
+    stack = [root]
     while stack:
-        key, kids = stack.pop()
-        if kids is not None:
-            (one, one_shift), (zero, zero_shift) = kids
-            memo[key] = (memo[one] << one_shift) + (memo[zero] << zero_shift)
+        key = stack.pop()
+        if key < 0:
+            key = ~key
+            keep1, drop1, keep0, drop0 = branches[key & bits]
+            memo[key] = ((memo[key & keep1] << (key & drop1).bit_count() * width)
+                         + (memo[key & keep0] << (key & drop0).bit_count() * width))
             continue
         if key in memo:
             continue
         run.tick()
-        undecided, live = key
+        undecided = key & bits
         steps = branches.get(undecided)
         if steps is None:
             a = (undecided & -undecided).bit_length() - 1
-            steps = []
+            steps = ()
             for cover in (up_t[a], down_t[a]):
-                rest = undecided & ~cover
-                rest_reach = _reach(rest, near)
-                steps.append((rest, rest_reach & ~cover, ~(rest_reach | cover)))
+                rest_reach = _reach(undecided & ~cover, near)
+                steps += (rest_reach & ~cover, ~(rest_reach | cover))
             branches[undecided] = steps
-        kids = tuple(
-            ((rest, live & keep), (live & drop).bit_count() * width)
-            for rest, keep, drop in steps
-        )
-        stack.append((key, kids))
         # the 0-branch goes on top, so it is walked first
-        stack.extend((kid, None) for kid, _ in kids if kid not in memo)
+        stack += (~key, key & steps[0], key & steps[2])
     packed = memo[root]
     k = (free & ~reach).bit_count()
     counts = {}
@@ -1063,9 +1062,10 @@ def decompose_power_of_two(
     comparable pair exactly when some cube edge has both ends outside the
     pivot, and such an edge would falsify the layer-pivot guarantee and
     raises FalsificationError naming the edge and the map that leaves it
-    free.  The pivot maps are not walked one by one: a memoized walk over
-    (undecided pivots, coverable free points) states builds the polynomial,
-    and each state spends one engine node.
+    free.  The pivot maps are not walked one by one: a memoized walk builds
+    the polynomial over states that are one bitset each, the undecided
+    pivots (in the layer) united with the still coverable free points
+    (outside it), and each state spends one engine node.
     """
     A = construct_layer_subset(n, parity)
     run = _EngineRun(None, max_nodes, budget_seconds)

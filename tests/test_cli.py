@@ -570,6 +570,24 @@ class TestPinnedOutput:
         got = output_digests(capsys, "verify", "--theorem", *argv, "--seed", "0")
         assert got == (code, text, report, "")
 
+    @pytest.mark.parametrize("parity, text, report, csv", [
+        ("even",
+         "9bca39cfa5137bb263446a4dfadc2fc8100d774117ed6e57b7548574802a6c8c",
+         "118d3bdd4188b2bc12e80263d33efb42b64514d58d20fabe4eb001aa4e7af5a8",
+         "782babefbca68c0fdfd543b5a17af458438013ee3583f031fa0f1c0e7d8ba604"),
+        ("odd",
+         "f8484f281e0eee89ba98db3585015da642cfa238e576afc523552a4efc4eb546",
+         "69b2752ce231d5236d62fcaa5cd9e68b8c4959702acbd17ee48e0219d1026da7",
+         "996a3c296686325f389bdd0f13dbd97fe35676182e68d086163ffb132baca904"),
+    ])
+    def test_decompose_six(self, capsys, parity, text, report, csv):
+        # recorded while the layer walk keyed its states by (U, live) tuples:
+        # the one-bitset state prints the same polynomial in every format
+        argv = ("decompose", "--n", "6", "--parity", parity)
+        assert output_digests(capsys, *argv) == (0, text, report, "")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, csv, "")
+
     @pytest.mark.parametrize("argv, name, fake, text, report", [
         (("1", "--n", "3", "--samples", "3"), "count_monotone_oracle",
          lambda real: lambda R: real(R) + 1,

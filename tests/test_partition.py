@@ -54,6 +54,7 @@ from dedekind.poset import (
     CoverPair,
     Point,
     Subposet,
+    _comparable_table,
     _generated_bits,
     _updown_tables,
     cover_preserving_isomorphic,
@@ -269,6 +270,57 @@ def reference_comparable_pair(residual: int, dim: int):
             return m, (above & -above).bit_length() - 1
         rest ^= low
     return None
+
+
+def reference_tuple_walk(bits: int, dim: int, run) -> dict[int, int]:
+    """_residual_sizes as it was when a walk state was the tuple (U, live)
+    of undecided pivots and live free points, each state's children built
+    as a tuple: the path the one-bitset state replaced."""
+    up_t, down_t = _updown_tables(dim)
+    near = _comparable_table(dim)
+    reach_of = partition_module._reach
+    width = bits.bit_count() + 1
+    free = ((1 << (1 << dim)) - 1) & ~bits
+    reach = reach_of(bits, near)
+    root = (bits, free & reach)
+    branches: dict[int, list[tuple[int, int, int]]] = {}
+    memo = {(0, 0): 1}
+    stack: list = [(root, None)]
+    while stack:
+        key, kids = stack.pop()
+        if kids is not None:
+            (one, one_shift), (zero, zero_shift) = kids
+            memo[key] = (memo[one] << one_shift) + (memo[zero] << zero_shift)
+            continue
+        if key in memo:
+            continue
+        run.tick()
+        undecided, live = key
+        steps = branches.get(undecided)
+        if steps is None:
+            a = (undecided & -undecided).bit_length() - 1
+            steps = []
+            for cover in (up_t[a], down_t[a]):
+                rest = undecided & ~cover
+                rest_reach = reach_of(rest, near)
+                steps.append((rest, rest_reach & ~cover, ~(rest_reach | cover)))
+            branches[undecided] = steps
+        kids = tuple(
+            ((rest, live & keep), (live & drop).bit_count() * width)
+            for rest, keep, drop in steps
+        )
+        stack.append((key, kids))
+        stack.extend((kid, None) for kid, _ in kids if kid not in memo)
+    packed = memo[root]
+    k = (free & ~reach).bit_count()
+    counts = {}
+    coefficient = (1 << width) - 1
+    while packed:
+        if packed & coefficient:
+            counts[k] = packed & coefficient
+        packed >>= width
+        k += 1
+    return counts
 
 
 def pivot_pool(rng) -> list[Subposet]:
@@ -1995,6 +2047,48 @@ class TestPowerOfTwoDecomposition:
             sizes = Counter(r.bit_count() for r in reference_leaf_residuals(A))
             assert partition_module._residual_sizes(A.bitset, A.dim, fresh_run()) == dict(sizes)
 
+    def test_bitset_walk_matches_tuple_walk(self, rng):
+        # the same polynomial from the same number of distinct states as the
+        # tuple-keyed walk, on any pivot and on both layers of E^2-E^6
+        pool = pivot_pool(rng)
+        pool += [construct_layer_subset(n, p) for n in range(2, 7) for p in ("even", "odd")]
+        for A in pool:
+            walk, reference = fresh_run(), fresh_run()
+            got = partition_module._residual_sizes(A.bitset, A.dim, walk)
+            assert got == reference_tuple_walk(A.bitset, A.dim, reference)
+            assert walk.nodes == reference.nodes
+
+    @pytest.mark.parametrize("max_nodes", [0, 1, 50, 150, 296, 297, 298])
+    def test_budget_stops_both_walks_at_the_same_node(self, max_nodes):
+        # the odd layer of E^5 spends 297 nodes on either walk
+        A = construct_layer_subset(5, "odd")
+        outcomes = []
+        for walk in (partition_module._residual_sizes, reference_tuple_walk):
+            run = partition_module._EngineRun(None, max_nodes, None)
+            try:
+                outcomes.append((walk(A.bitset, A.dim, run), run.nodes))
+            except BudgetExceededError:
+                outcomes.append((None, run.nodes))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is None) == (max_nodes < 297)
+
+    def test_walk_peak_below_tuple_walk(self):
+        A = construct_layer_subset(6, "odd")
+        partition_module._residual_sizes(A.bitset, A.dim, fresh_run())  # builds the cached tables
+        peaks = []
+        gc.disable()
+        try:
+            for walk in (partition_module._residual_sizes, reference_tuple_walk):
+                tracemalloc.start()
+                try:
+                    walk(A.bitset, A.dim, fresh_run())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert peaks[0] < peaks[1]
+
     def test_edge_check_iff_some_leaf_residual_is_comparable(self, rng):
         pool = pivot_pool(rng)
         pool += [construct_layer_subset(n, p) for n in range(2, 6) for p in ("even", "odd")]
@@ -2043,7 +2137,7 @@ class TestPowerOfTwoDecomposition:
             assert not forced >> m.mask & 1 and not forced >> y.mask & 1
 
     def test_nodes_count_distinct_walk_states(self):
-        # 9,661 distinct (undecided, live) states on the even layer of E^6,
+        # 9,661 distinct undecided | live states on the even layer of E^6,
         # against 89,128 pivot maps; each state spends one node
         assert decompose_power_of_two(6, "even", max_nodes=9661).value() == PINNED_DEDEKIND[6]
         with pytest.raises(BudgetExceededError):

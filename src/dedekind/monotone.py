@@ -2,9 +2,11 @@
 
 The counter is the package's reference oracle: a plain depth-first search
 over a linear extension (ascending weight, ties by numeric value) whose leaf
-count is the number of monotone maps.  It deliberately carries no memo
-table, no symmetry folding and no product decomposition, so it stays an
-independent check on the partition engine.
+count is the number of monotone maps, 2*D - 1 nodes for a non-empty set
+with D maps.  Each call walks its chain of 0 branches in a loop and
+recurses only into 1 branches.  It deliberately carries no memo table, no
+symmetry folding and no product decomposition, so it stays an independent
+check on the partition engine.
 """
 
 from __future__ import annotations
@@ -40,26 +42,25 @@ class MonotoneMap:
         return tuple(self.bits >> i & 1 for i in range(len(self.domain.masks)))
 
 
-def _extension_tables(S: Subposet) -> tuple[list[int], list[int], list[int], list[int]]:
+def _extension_tables(S: Subposet) -> tuple[list[int], list[int]]:
     """Points reindexed along the linear extension (weight, then numeric value).
 
-    Returns (ext_masks, up_bits, down_bits, canon_index) where up_bits[i] and
-    down_bits[i] are closed up-/down-sets within S as bitsets over extension
-    positions, and canon_index maps extension position to canonical position.
+    Returns (up_bits, canon_index) where up_bits[i] is the closed up-set of
+    extension position i within S, as a bitset over extension positions, and
+    canon_index maps extension position to canonical position.
     """
-    order = sorted(range(len(S.masks)), key=lambda i: (S.masks[i].bit_count(), S.masks[i]))
-    ext_masks = [S.masks[i] for i in order]
+    masks = S.masks
+    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
+    ext_masks = [masks[i] for i in order]
     k = len(ext_masks)
     up = [1 << i for i in range(k)]
-    down = [1 << i for i in range(k)]
     for i in range(k):
         mi = ext_masks[i]
         for j in range(i + 1, k):
             # weight order means a comparable later point can only be above
             if mi & ~ext_masks[j] == 0:
                 up[i] |= 1 << j
-                down[j] |= 1 << i
-    return ext_masks, up, down, order
+    return up, order
 
 
 def enumerate_monotone(
@@ -68,8 +69,10 @@ def enumerate_monotone(
     """Yield every monotone map on S exactly once, in deterministic order.
 
     Depth-first assignment along the linear extension, 0 branch before 1,
-    propagating forced values through up- and down-sets.  Materialization is
-    for desk-scale domains; the cap guards against 2^k blowups.
+    propagating forced values through up-sets: the least undecided point has
+    its whole down-set decided already, so its 0 branch decides it alone.
+    Materialization is for desk-scale domains; the cap guards against 2^k
+    blowups.
     """
     k = len(S.masks)
     if k > cap:
@@ -77,7 +80,7 @@ def enumerate_monotone(
     if k == 0:
         yield MonotoneMap(S, 0)
         return
-    _, up, down, order = _extension_tables(S)
+    up, order = _extension_tables(S)
     full = (1 << k) - 1
 
     def walk(decided: int, ones: int) -> Iterator[int]:
@@ -86,7 +89,7 @@ def enumerate_monotone(
             return
         free = ~decided & full
         i = (free & -free).bit_length() - 1
-        yield from walk(decided | down[i], ones)
+        yield from walk(decided | 1 << i, ones)
         yield from walk(decided | up[i], ones | up[i])
 
     for ones_ext in walk(0, 0):
@@ -100,27 +103,46 @@ def enumerate_monotone(
 def count_monotone_oracle(S: Subposet, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
     """Count monotone maps on S by direct DFS; leaves are exactly the maps.
 
-    When a point is fixed to 0 its down-set is forced to 0, dually for 1, so
-    the undecided set alone carries the whole state.  Every DFS node spends a
-    unit of the node budget; exceeding it raises BudgetExceededError.
+    A DFS node is the set of undecided points.  Fixing a point to 1 forces
+    its up-set to 1 (dually for 0), so that set alone carries the state.
+    The node branches on its least undecided point i in the linear
+    extension, whose down-set is decided already: the 0 branch decides i
+    alone, and the 1 branch decides its whole up-set.  So each call walks
+    its chain of 0 branches in a loop, one point per step, recursing only
+    into non-empty 1 branches and counting an empty one, and the chain's
+    end, as a leaf in place.
+
+    The tree is a full binary tree with one leaf per map, so a non-empty S
+    takes 2*D - 1 nodes, where D is the count; the empty S takes none.
+    Each call charges on entry the nodes its loop visits (the chain after
+    its first node, the chain's end and the root of every 1 branch), so
+    BudgetExceededError is raised exactly when the node count exceeds
+    max_nodes.  A negative max_nodes raises ValueError.
     """
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     k = len(S.masks)
     if k == 0:
         return 1
-    _, up, down, _ = _extension_tables(S)
-    budget = max_nodes
+    up, _ = _extension_tables(S)
+    # the root; each call charges the rest of its subtree
+    budget = max_nodes - 1
 
     def rec(undecided: int) -> int:
         nonlocal budget
-        budget -= 1
+        # one 0 step and one 1-branch root per undecided point
+        budget -= 2 * undecided.bit_count()
         if budget < 0:
             raise BudgetExceededError(
                 f"oracle node budget exceeded ({max_nodes} nodes)"
             )
-        if undecided == 0:
-            return 1
-        i = (undecided & -undecided).bit_length() - 1
-        return rec(undecided & ~down[i]) + rec(undecided & ~up[i])
+        total = 1
+        while undecided:
+            low = undecided & -undecided
+            one = undecided & ~up[low.bit_length() - 1]
+            total += rec(one) if one else 1
+            undecided ^= low
+        return total
 
     return rec((1 << k) - 1)
 

@@ -815,17 +815,23 @@ def partition_terms(S: Subposet, A: Subposet) -> list[PartitionTerm]:
     forces only numerically smaller points and a 1 only larger ones, so a
     decision never changes the value of a point below the one decided.
     Desk-scale: every monotone map on A is listed, and an A of more than
-    DEFAULT_ENUMERATION_CAP points raises BudgetExceededError."""
+    DEFAULT_ENUMERATION_CAP points raises BudgetExceededError.  Terms whose
+    maps force the same region share one residual object."""
     _validate_subset(A, S)
     if len(A) > DEFAULT_ENUMERATION_CAP:
         raise BudgetExceededError(
             f"enumeration cap exceeded: {len(A)} points > {DEFAULT_ENUMERATION_CAP}"
         )
     s_bits = S.bitset
-    return [
-        PartitionTerm(MonotoneMap(A, table), Subposet._from_bits(S.dim, s_bits & ~covered))
-        for table, covered in _pivot_maps(A.bitset, S.dim, _EngineRun())
-    ]
+    residuals: dict[int, Subposet] = {}
+    terms = []
+    for table, covered in _pivot_maps(A.bitset, S.dim, _EngineRun()):
+        bits = s_bits & ~covered
+        residual = residuals.get(bits)
+        if residual is None:
+            residual = residuals[bits] = Subposet._from_bits(S.dim, bits)
+        terms.append(PartitionTerm(MonotoneMap(A, table), residual))
+    return terms
 
 
 def corollary_split(
@@ -931,11 +937,17 @@ def definitional_completeness_oracle(A: Subposet, S: Subposet) -> bool:
     weaker and is available as numeric_completeness_oracle; the two differ
     on residuals whose count happens to factor without the shape doing so
     (the smallest case: a four-point fence counting 8 = 2*2*2).
+
+    A component shared by several residuals is checked once per call.
     """
     _validate_subset(A, S)
     limit = _varying_coordinates(S.masks).bit_count()
+    checked: set[int] = set()
     for term in partition_terms(S, A):
         for c in _components(term.residual.bitset, A.dim):
+            if c in checked:
+                continue
+            checked.add(c)
             comp = Subposet._from_bits(A.dim, c)
             k = len(comp).bit_length() - 1
             if len(comp) != 1 << k or k >= limit:

@@ -1235,6 +1235,21 @@ class TestPartitionTerms:
             brute.sort()
             assert term_pairs(partition_terms(S, A)) == [(b, r) for _, b, r in brute]
 
+    def test_equal_residuals_share_one_object(self, rng):
+        # terms whose maps force the same region hold one residual object,
+        # and the term list itself is unchanged
+        shared = 0
+        for S in pivot_pool(rng):
+            A = Subposet(S.dim, tuple(m for m in S.masks if rng.random() < 0.5))
+            terms = partition_terms(S, A)
+            assert term_pairs(terms) == reference_terms(S, A)
+            assert all(t.pivot_values.domain == A for t in terms)
+            by_bits = {}
+            for t in terms:
+                assert by_bits.setdefault(t.residual.bitset, t.residual) is t.residual
+            shared += len(terms) - len(by_bits)
+        assert shared > 0
+
     def test_enumeration_cap(self):
         # 41 points raise before any walk starts, with the oracle's message
         S = Subposet.cube(6)
@@ -1761,7 +1776,44 @@ class TestFaceCondition:
                 ), (A, mode)
 
 
+def reference_definitional(A: Subposet, S: Subposet) -> bool:
+    """definitional_completeness_oracle as it checked every component of
+    every term, repeats included."""
+    limit = partition_module._varying_coordinates(S.masks).bit_count()
+    for term in partition_terms(S, A):
+        for c in partition_module._components(term.residual.bitset, A.dim):
+            comp = Subposet._from_bits(A.dim, c)
+            k = len(comp).bit_length() - 1
+            if len(comp) != 1 << k or k >= limit:
+                return False
+            if not cover_preserving_isomorphic(comp, Subposet.cube(k), max_size=len(comp)):
+                return False
+    return True
+
+
 class TestCompletenessOracles:
+    def test_matches_per_term_reference(self, rng):
+        # every pivot subset of E^3, then seeded pairs in E^4
+        cube3 = Subposet.cube(3)
+        agree = Counter()
+        for bits in range(256):
+            A = Subposet._from_bits(3, bits)
+            truth = definitional_completeness_oracle(A, cube3)
+            assert truth == reference_definitional(A, cube3)
+            for mode in ("ambient", "induced"):
+                agree[mode] += is_complete_partition(A, cube3, mode) == truth
+        # the tallies `verify --theorem 2 --n 3` reports
+        assert agree == {"ambient": 256, "induced": 227}
+        for _ in range(60):
+            S = random_subposet(rng, 4)
+            A = Subposet(4, tuple(m for m in S.masks if rng.random() < rng.random()))
+            assert definitional_completeness_oracle(A, S) == reference_definitional(A, S)
+
+    def test_pivot_cap_still_raises(self):
+        S = Subposet.cube(6)
+        with pytest.raises(BudgetExceededError, match="enumeration cap exceeded: 41 points > 40"):
+            definitional_completeness_oracle(Subposet(6, tuple(range(41))), S)
+
     def test_diagonal_pivot_of_square(self):
         A = Subposet(2, (0, 3))
         assert definitional_completeness_oracle(A, Subposet.cube(2))
